@@ -845,10 +845,8 @@ impl SectionMap {
     }
 
     /// A stable FNV-1a hash of the partition: section spans plus the
-    /// site/loop windows each one owns. Campaign journals record it (with
-    /// the plan fingerprint and engine) as the checkpoint identity, so a
-    /// resume can refuse a journal whose checkpoints were cut against a
-    /// different section structure.
+    /// site/loop windows each one owns, so kernels with different section
+    /// structures hash differently.
     pub fn section_hash(&self) -> u64 {
         let (mut h, prime) = (0xcbf29ce484222325u64, 0x100000001b3u64);
         let mut mix = |v: u64| {

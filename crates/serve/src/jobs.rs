@@ -110,9 +110,10 @@ pub struct JobSpec {
     /// Operator fault-injection hook: sabotage one work unit to validate the
     /// daemon's retry → quarantine resilience end-to-end (tests and drills).
     pub chaos: Option<ChaosConfig>,
-    /// Execution engine (`None` = the process-wide default). Validated at
-    /// POST time and recorded in the campaign journal header, so a resumed
-    /// or merged campaign can never silently mix engines.
+    /// Execution engine (`None` = the process-wide default), validated at
+    /// POST time. Every engine gives the same result, so a campaign's
+    /// journal resumes and merges across engines; the engine stays in
+    /// [`Self::identity_json`] so cache keys keep their values.
     pub engine: Option<hauberk_sim::ExecEngine>,
     /// Correlation trace id. Usually assigned by the daemon from the
     /// submitting request (echoed back as `X-Hauberk-Trace`); a client may
@@ -126,7 +127,8 @@ pub struct JobSpec {
     /// Run the campaign from a shared fault-free checkpoint (default
     /// `false`): one reference run captures per-block snapshots and every
     /// injection resumes from them. The result document is byte-identical
-    /// either way; ineligible campaigns fall back to full re-execution.
+    /// either way, and a journal resumes and merges across modes;
+    /// ineligible campaigns fall back to full re-execution.
     pub checkpoint: bool,
     /// `(index, modulus)`: execute only the strata this shard owns (the
     /// orchestrator's round-robin partition). The fleet coordinator sets
@@ -192,6 +194,12 @@ impl Default for JobSpec {
 fn want_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.as_u64()
         .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+}
+
+/// A JSON integer that must fit in `u32`; a wider value is an error naming
+/// `key`, never a silent truncation.
+fn want_u32(j: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(want_u64(j, key)?).map_err(|_| format!("`{key}` must be at most {}", u32::MAX))
 }
 
 fn want_f64(j: &Json, key: &str) -> Result<f64, String> {
@@ -401,13 +409,13 @@ impl JobSpec {
         }
         if let Some(v) = map.get("launch") {
             if let Some(b) = v.get("blocks") {
-                spec.launch.blocks = want_u64(b, "launch.blocks")? as u32;
+                spec.launch.blocks = want_u32(b, "launch.blocks")?;
             }
             if let Some(t) = v.get("threads") {
-                spec.launch.threads_per_block = want_u64(t, "launch.threads")? as u32;
+                spec.launch.threads_per_block = want_u32(t, "launch.threads")?;
             }
             if let Some(e) = v.get("elems") {
-                spec.launch.elems = want_u64(e, "launch.elems")? as u32;
+                spec.launch.elems = want_u32(e, "launch.elems")?;
             }
             if let Some(x) = v.get("exact") {
                 spec.launch.exact = x.as_bool().ok_or("`launch.exact` must be a boolean")?;
@@ -451,10 +459,12 @@ impl JobSpec {
     }
 
     /// The result-affecting half of [`Self::to_json`]: everything that can
-    /// change the summary bytes (program, kind, seed, sizing, engine,
-    /// checkpoint, shard, hardening, ...). The observational fields (`trace`,
-    /// `spans`, `priority`, `client`, `emit_journal`, `cache`) shape how a
-    /// run is scheduled or watched, never its result, and are left out.
+    /// change the summary bytes (program, kind, seed, sizing, shard,
+    /// hardening, ...), plus `engine` and `checkpoint`, which cannot but
+    /// stay so that existing cache keys keep their values. The
+    /// observational fields (`trace`, `spans`, `priority`, `client`,
+    /// `emit_journal`, `cache`) shape how a run is scheduled or watched,
+    /// never its result, and are left out.
     pub fn identity_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = vec![
             (
@@ -1000,6 +1010,34 @@ mod tests {
         let err =
             JobSpec::from_json(&parse(r#"{"program":"CP","checkpoint":1}"#).unwrap()).unwrap_err();
         assert!(err.contains("`checkpoint` must be a boolean"), "{err}");
+    }
+
+    /// `launch.<field>` one past `u32::MAX` (here 2^32 + 4) is an error
+    /// naming the field, not a silent wrap to 4 that would enter the
+    /// canonical spec and the cache key; `u32::MAX` itself is accepted.
+    fn assert_launch_field_is_bounded(field: &str) {
+        let spec = |v: u64| format!(r#"{{"program":"CP","launch":{{"{field}":{v}}}}}"#);
+        let err = JobSpec::from_json(&parse(&spec(4_294_967_300)).unwrap()).unwrap_err();
+        assert!(
+            err.contains(&format!("`launch.{field}` must be at most 4294967295")),
+            "{err}"
+        );
+        JobSpec::from_json(&parse(&spec(u32::MAX as u64)).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn launch_blocks_beyond_u32_is_rejected() {
+        assert_launch_field_is_bounded("blocks");
+    }
+
+    #[test]
+    fn launch_threads_beyond_u32_is_rejected() {
+        assert_launch_field_is_bounded("threads");
+    }
+
+    #[test]
+    fn launch_elems_beyond_u32_is_rejected() {
+        assert_launch_field_is_bounded("elems");
     }
 
     #[test]

@@ -468,12 +468,6 @@ impl Device {
         fence: u32,
         expected_fp: u64,
     ) -> Result<Spliced, SnapshotError> {
-        if snap.engine != self.config.engine {
-            return Err(SnapshotError::EngineMismatch {
-                snapshot: snap.engine,
-                device: self.config.engine,
-            });
-        }
         let total = launch.total_blocks();
         if snap.next_block > total {
             return Err(SnapshotError::BlockOutOfRange {
@@ -533,7 +527,6 @@ impl Device {
     /// Snapshot the current launch state at boundary `next_block`.
     fn snapshot_at(&self, st: &LaunchState, next_block: u32) -> Snapshot {
         Snapshot {
-            engine: self.config.engine,
             next_block,
             mem: self.mem.clone(),
             stats: st.stats.clone(),

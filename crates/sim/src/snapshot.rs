@@ -17,13 +17,14 @@
 //!    block, so "before block *b*" is a quiescent point: no shared memory is
 //!    live, no warp is mid-flight, and the only carried state is exactly
 //!    what [`Snapshot`] stores.
-//! 2. **Engines agree bit-for-bit.** The three [`crate::ExecBackend`] tiers
-//!    are observationally equivalent, so a snapshot is *portable in time*
-//!    on one engine but deliberately **not across engines** — per-launch
-//!    compilation artifacts differ, and mixing tiers inside one campaign
-//!    would undermine the campaign journal's engine pinning. Restoring onto
-//!    a different tier is a typed [`SnapshotError::EngineMismatch`],
-//!    mirroring the journal's cross-engine refusal.
+//! 2. **Snapshots are engine-neutral.** The three [`crate::ExecBackend`]
+//!    tiers are observationally equivalent — same memory, same
+//!    [`ExecStats`], same cycle tallies at every block boundary — and a
+//!    snapshot holds only that observable state, never a per-launch
+//!    compilation artifact. So a snapshot captured on one tier restores on
+//!    any other and the resumed run is bit-identical to a restore on the
+//!    capturing tier (`tests/snapshot_roundtrip.rs` checks every ordered
+//!    engine pair).
 //! 3. **Hook runtimes are per-run.** The snapshot stores *device* state
 //!    only. Each resumed run brings its own [`crate::HookRuntime`]; because
 //!    occurrence counting is per `(site, thread)` and a thread executes only
@@ -39,7 +40,6 @@
 //! reuses the reference's finals — turning "skip the prefix" into "execute
 //! only the corrupted window" for masked faults.
 
-use crate::config::ExecEngine;
 use crate::memory::MemRegion;
 use crate::stats::ExecStats;
 
@@ -51,8 +51,6 @@ use crate::stats::ExecStats;
 /// compare equal iff resuming either produces identical runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Engine tier that produced the snapshot (resume refuses others).
-    pub(crate) engine: ExecEngine,
     /// The linear block id the resumed launch executes first.
     pub(crate) next_block: u32,
     /// Global memory, lazily-backed extent and all.
@@ -66,11 +64,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Engine tier the snapshot was captured on.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
     /// Linear block id the resumed launch executes first.
     pub fn next_block(&self) -> u32 {
         self.next_block
@@ -85,15 +78,6 @@ impl Snapshot {
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The snapshot was captured on a different engine tier than the device
-    /// is configured for (the snapshot analogue of the campaign journal's
-    /// cross-engine resume refusal).
-    EngineMismatch {
-        /// Tier the snapshot was captured on.
-        snapshot: ExecEngine,
-        /// Tier the restoring device runs.
-        device: ExecEngine,
-    },
     /// The snapshot's resume point lies beyond the launch grid — it belongs
     /// to a different launch geometry.
     BlockOutOfRange {
@@ -107,12 +91,6 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::EngineMismatch { snapshot, device } => write!(
-                f,
-                "snapshot was captured on engine {}, device runs {}",
-                snapshot.name(),
-                device.name()
-            ),
             SnapshotError::BlockOutOfRange {
                 next_block,
                 total_blocks,

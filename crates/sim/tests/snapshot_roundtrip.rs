@@ -1,12 +1,16 @@
 //! Snapshot round-trip properties: capture → restore → re-capture must be
 //! bit-identical on every engine tier, fault-free resumes must reconverge at
-//! every fence, and snapshots must refuse to restore across engines or out
-//! of range — the invariants `crate::snapshot` documents, checked over
+//! every fence, a snapshot must restore on any engine exactly as on the one
+//! that captured it, and an out-of-range snapshot must refuse to restore —
+//! the invariants `crate::snapshot` documents, checked over
 //! property-generated kernels and launch geometries.
 
 use hauberk_kir::builder::KernelBuilder;
 use hauberk_kir::{BinOp, Expr, KernelDef, PrimTy, Ty, Value};
-use hauberk_sim::{Device, DeviceConfig, ExecEngine, Launch, NullRuntime, SnapshotError, Spliced};
+use hauberk_sim::{
+    Device, DeviceConfig, ExecEngine, Launch, LaunchOutcome, NullRuntime, Snapshot, SnapshotError,
+    Spliced,
+};
 use proptest::prelude::*;
 
 const ENGINES: [ExecEngine; 3] = [
@@ -114,6 +118,37 @@ fn out_bits(s: &Setup) -> Vec<u32> {
         .collect()
 }
 
+/// Everything observable about one restore of `snap` on `engine`: the
+/// splice verdict (reconverged work cycles, or the launch outcome with its
+/// stats) and the output memory bits. `fence: None` restores to completion
+/// with `resume_launch`; `Some((fence, fp))` splices with `resume_spliced`.
+fn restore_on(
+    engine: ExecEngine,
+    g: &GenKernel,
+    kernel: &hauberk_kir::KernelDef,
+    launch: &Launch,
+    snap: &Snapshot,
+    fence: Option<(u32, u64)>,
+) -> (Result<u64, LaunchOutcome>, Vec<u32>) {
+    let mut s = setup(engine, g, launch);
+    let (dev, args) = (&mut s.dev, &s.args);
+    let verdict = match fence {
+        None => Err(dev
+            .resume_launch(kernel, args, launch, &mut NullRuntime, snap)
+            .expect("in-range restore")),
+        Some((f, fp)) => {
+            match dev
+                .resume_spliced(kernel, args, launch, &mut NullRuntime, snap, f, fp)
+                .expect("in-range restore")
+            {
+                Spliced::Reconverged { executed_cycles } => Ok(executed_cycles),
+                Spliced::Ran(out) => Err(out),
+            }
+        }
+    };
+    (verdict, out_bits(&s))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -214,46 +249,45 @@ proptest! {
             }
         }
     }
-}
 
-/// Restoring a snapshot onto a different engine tier is a typed refusal
-/// naming both engines, for every ordered engine pair.
-#[test]
-fn cross_engine_restore_is_rejected() {
-    let g = GenKernel {
-        trip: 4,
-        coeff: 1,
-        guarded: false,
-    };
-    let launch = Launch::grid1d(2, 16).with_budget(400_000);
-    let kernel = materialize(&g);
-    for src in ENGINES {
-        let mut c = setup(src, &g, &launch);
-        let cap = c
-            .dev
-            .capture_launch(&kernel, &c.args, &launch, &mut NullRuntime, &[1], &[]);
-        let snap = &cap.snapshots[0].1;
-        for dst in ENGINES {
-            if src == dst {
-                continue;
-            }
-            let mut other = setup(dst, &g, &launch);
-            let err = other
-                .dev
-                .resume_launch(&kernel, &other.args, &launch, &mut NullRuntime, snap)
-                .expect_err("cross-engine restore must be refused");
-            assert_eq!(
-                err,
-                SnapshotError::EngineMismatch {
-                    snapshot: src,
-                    device: dst,
+    /// Snapshots are engine-neutral: a snapshot captured on engine A and
+    /// restored on engine B — to completion (`resume_launch`) or up to a
+    /// fence (`resume_spliced`) — gives the same outcome, output bits, stats
+    /// and fence reconvergence as the same restore on A, for every ordered
+    /// engine pair.
+    #[test]
+    fn cross_engine_restore_matches_capturing_engine(
+        g in gen_kernel(),
+        blocks in 2u32..5,
+    ) {
+        let launch = Launch::grid1d(blocks, 16).with_budget(400_000);
+        let boundaries: Vec<u32> = (0..blocks).collect();
+        let fences: Vec<u32> = (1..blocks).collect();
+        let kernel = materialize(&g);
+        for src in ENGINES {
+            let mut c = setup(src, &g, &launch);
+            let cap = c.dev.capture_launch(
+                &kernel, &c.args, &launch, &mut NullRuntime, &boundaries, &fences,
+            );
+            for (b, snap) in &cap.snapshots {
+                // Restore to completion, and splice at the fence right after
+                // `b` where there is one.
+                let next = cap.fences.iter().find(|(f, _)| *f == b + 1).copied();
+                for fence in std::iter::once(None).chain(next.map(Some)) {
+                    let home = restore_on(src, &g, &kernel, &launch, snap, fence);
+                    if fence.is_some() {
+                        prop_assert!(home.0.is_ok(), "fault-free restore reconverges");
+                    }
+                    for dst in ENGINES {
+                        let away = restore_on(dst, &g, &kernel, &launch, snap, fence);
+                        prop_assert_eq!(
+                            &away, &home,
+                            "{} -> {} at boundary {}, fence {:?}",
+                            src.name(), dst.name(), b, fence
+                        );
+                    }
                 }
-            );
-            let msg = err.to_string();
-            assert!(
-                msg.contains(src.name()) && msg.contains(dst.name()),
-                "error names both engines: {msg}"
-            );
+            }
         }
     }
 }

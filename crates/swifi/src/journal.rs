@@ -7,9 +7,9 @@
 //! documented in `DESIGN.md` §13; in short:
 //!
 //! ```text
-//! {"rec":"meta", "program":…, "kind":…, "seed":…, "plan_len":…,
-//!  "shard_size":…, "fingerprint":…, "engine":…} // first line, identity check
-//! {"rec":"ckpt", "identity":…, "sections":…, "boundaries":…, "engine":…}
+//! {"rec":"meta", "version":4, "program":…, "kind":…, "seed":…,
+//!  "plan_len":…, "shard_size":…, "fingerprint":…, "sections":…}
+//!                                             // first line, identity check
 //! {"rec":"unit", "stratum":…, "chunk":…, "lo":…, "hi":…, "results":[…]}
 //! {"rec":"quarantine", "stratum":…, "chunk":…, "attempts":…, "error":…}
 //! {"rec":"profile", "plan_ns":…, "execute_ns":…, …} // trailing, optional
@@ -19,9 +19,16 @@
 //! the summary needs (outcome, delivery, detection latency, alarms), so a
 //! resume never re-executes finished work. Writes happen one flushed line at
 //! a time — a kill can tear at most the final line, and the reader
-//! tolerates that: a torn/corrupt line is dropped with a warning and its
-//! work unit simply re-executes (injections are idempotent: same plan, same
-//! seed, same result).
+//! tolerates that: a torn/corrupt line — including one that is not valid
+//! UTF-8 — is dropped with a warning and its work unit simply re-executes
+//! (injections are idempotent: same plan, same seed, same result).
+//!
+//! The identity records only what changes results. The execution engine and
+//! the checkpoint mode do not (the `ExecBackend` contract and the
+//! checkpoint differential suite prove it), so a journal written under one
+//! engine or mode resumes and merges under any other. Version-3 journals
+//! still read: their meta's `engine`/`checkpoint` fields and their `ckpt`
+//! record are accepted and ignored.
 
 use crate::classify::FiOutcome;
 use crate::profile::PhaseProfile;
@@ -33,11 +40,10 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Journal format version; bumped on incompatible record changes.
-/// Version 2 added the `engine` field to the meta record; version 3 added
-/// the `sections`/`checkpoint` identity fields and the optional `ckpt`
-/// record.
-pub const JOURNAL_VERSION: u64 = 3;
+/// Journal format version; bumped on record changes. Version 3 added the
+/// `sections` identity field; version 4 dropped the `engine`/`checkpoint`
+/// meta fields and the `ckpt` record, which readers still accept and ignore.
+pub const JOURNAL_VERSION: u64 = 4;
 
 /// Campaign identity, written as the journal's first record and checked on
 /// resume: resuming a journal written by a different campaign (program,
@@ -57,22 +63,10 @@ pub struct JournalMeta {
     /// FNV-1a fingerprint over the full plan (sites, threads, occurrences,
     /// masks) — catches "same seed, different code/config" mismatches.
     pub fingerprint: u64,
-    /// Execution engine name (`ExecEngine::name()`). All engines are
-    /// observationally equivalent, so mixing them would be *safe* — but a
-    /// mixed-engine journal can no longer certify which tier produced the
-    /// results, so resume and merge refuse the mix instead.
-    pub engine: String,
     /// Number of kernel sections the partitioner found (version 3) — part of
     /// the campaign identity: a different section structure means different
     /// code, even if the plan fingerprint happened to collide.
     pub sections: u64,
-    /// Checkpoint identity (version 3): `"off"` for a plain campaign, or the
-    /// 16-hex-digit hash of (plan fingerprint, section hash, engine) when
-    /// the campaign ran from a shared fault-free checkpoint. Checkpointed
-    /// and plain campaigns produce byte-identical summaries, but the journal
-    /// certifies which mode produced its records, so resume refuses a mode
-    /// mismatch like it refuses an engine mismatch.
-    pub checkpoint: String,
 }
 
 impl JournalMeta {
@@ -97,9 +91,7 @@ impl JournalMeta {
                 format!("{:016x}", a.fingerprint),
                 format!("{:016x}", b.fingerprint),
             ),
-            ("engine", a.engine.clone(), b.engine.clone()),
             ("sections", a.sections.to_string(), b.sections.to_string()),
-            ("checkpoint", a.checkpoint.clone(), b.checkpoint.clone()),
         ]
         .into_iter()
         .filter(|(_, x, y)| x != y)
@@ -122,9 +114,7 @@ impl JournalMeta {
                 "fingerprint",
                 Json::str(format!("{:016x}", self.fingerprint)),
             ),
-            ("engine", Json::str(self.engine.clone())),
             ("sections", Json::uint(self.sections)),
-            ("checkpoint", Json::str(self.checkpoint.clone())),
         ])
     }
 
@@ -136,24 +126,19 @@ impl JournalMeta {
             plan_len: j.get("plan_len")?.as_u64()?,
             shard_size: j.get("shard_size")?.as_u64()?,
             fingerprint: u64::from_str_radix(j.get("fingerprint")?.as_str()?, 16).ok()?,
-            // Absent in version-1 journals: those were all written by the
-            // bytecode-default era, but guessing would defeat the point of
-            // recording it — refuse to parse instead (the meta drops and the
-            // orchestrator reports the journal as unusable).
-            engine: j.get("engine")?.as_str()?.to_string(),
-            // Absent before version 3 — same policy: refuse to parse rather
-            // than guess whether the journal's records came from a
-            // checkpointed run.
+            // Absent before version 3: refuse to parse rather than guess the
+            // section structure (the meta drops and the orchestrator reports
+            // the journal as unusable). Version 3's `engine`/`checkpoint`
+            // fields are not identity and are ignored.
             sections: j.get("sections")?.as_u64()?,
-            checkpoint: j.get("checkpoint")?.as_str()?.to_string(),
         })
     }
 }
 
 /// FNV-1a over a byte stream; the journal's plan fingerprint. Re-exported
 /// from [`hauberk::canon`], where all campaign-identity hashing lives (plan
-/// fingerprints, checkpoint identities, and the serve daemon's
-/// content-addressed cache keys share one implementation).
+/// fingerprints and the serve daemon's content-addressed cache keys share
+/// one implementation).
 pub use hauberk::canon::Fnv1a;
 
 /// One journaled injection: everything the summary derivation needs. The
@@ -278,44 +263,6 @@ impl QuarantineRecord {
     }
 }
 
-/// Checkpoint-identity record (version 3): written right after the meta of
-/// a checkpointed campaign. Where the meta's `checkpoint` field carries only
-/// the identity hash, this record spells the identity out for inspection and
-/// lets a resume verify the journal's checkpoint provenance even if the meta
-/// healed from a fresh rewrite.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointRecord {
-    /// 16-hex-digit identity hash — same value as the meta's `checkpoint`.
-    pub identity: String,
-    /// Kernel sections the partitioner found.
-    pub sections: u64,
-    /// Distinct block boundaries the store snapshotted.
-    pub boundaries: u64,
-    /// Engine the checkpoints were captured on.
-    pub engine: String,
-}
-
-impl CheckpointRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("rec", Json::str("ckpt")),
-            ("identity", Json::str(self.identity.clone())),
-            ("sections", Json::uint(self.sections)),
-            ("boundaries", Json::uint(self.boundaries)),
-            ("engine", Json::str(self.engine.clone())),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Option<CheckpointRecord> {
-        Some(CheckpointRecord {
-            identity: j.get("identity")?.as_str()?.to_string(),
-            sections: j.get("sections")?.as_u64()?,
-            boundaries: j.get("boundaries")?.as_u64()?,
-            engine: j.get("engine")?.as_str()?.to_string(),
-        })
-    }
-}
-
 fn unit_id_from_json(j: &Json) -> Option<WorkUnitId> {
     Some(WorkUnitId {
         stratum: Stratum::parse_key(j.get("stratum")?.as_str()?)?,
@@ -336,10 +283,6 @@ pub struct JournalReplay {
     /// The latest trailing phase profile, when the journal holds one
     /// (observational timing; never input to resume decisions).
     pub profile: Option<PhaseProfile>,
-    /// The checkpoint-identity record of a checkpointed campaign, when
-    /// present and untorn (a resume of a checkpointed campaign rewrites a
-    /// missing one).
-    pub ckpt: Option<CheckpointRecord>,
     /// Lines dropped because they were torn or unparsable.
     pub dropped_lines: usize,
 }
@@ -351,57 +294,66 @@ impl JournalReplay {
     }
 }
 
+/// One parsed journal line.
+enum Record {
+    Meta(JournalMeta),
+    Unit(UnitRecord),
+    Quarantine(QuarantineRecord),
+    Profile(PhaseProfile),
+    /// A version-3 `ckpt` record: valid, but carries nothing a reader uses.
+    LegacyCkpt,
+}
+
+/// Parse one line against the record grammar; `None` for a torn, corrupt
+/// or unknown line.
+fn parse_record(line: &str) -> Option<Record> {
+    let j = json::parse(line).ok()?;
+    Some(match j.get("rec")?.as_str()? {
+        "meta" => Record::Meta(JournalMeta::from_json(&j)?),
+        "unit" => Record::Unit(UnitRecord::from_json(&j)?),
+        "quarantine" => Record::Quarantine(QuarantineRecord::from_json(&j)?),
+        "profile" => Record::Profile(PhaseProfile::from_json(&j)?),
+        "ckpt" => Record::LegacyCkpt,
+        _ => return None,
+    })
+}
+
 /// Read a journal, tolerating a torn final line (and, defensively, any
-/// other unparsable line): bad lines are dropped with a warning on stderr
-/// and counted in [`JournalReplay::dropped_lines`]. The affected unit is
-/// simply re-executed on resume.
+/// other unparsable line, including one that is not valid UTF-8): bad lines
+/// are dropped with a warning on stderr and counted in
+/// [`JournalReplay::dropped_lines`]. The affected unit is simply
+/// re-executed on resume.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalReplay, String> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut replay = JournalReplay::default();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+    for (lineno, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+        let line = std::str::from_utf8(raw).ok();
+        if line.is_some_and(|l| l.trim().is_empty()) {
             continue;
         }
-        let parsed =
-            json::parse(line)
-                .ok()
-                .and_then(|j| match j.get("rec").and_then(|r| r.as_str()) {
-                    Some("meta") => {
-                        replay.meta = Some(JournalMeta::from_json(&j)?);
-                        Some(())
-                    }
-                    Some("unit") => {
-                        let u = UnitRecord::from_json(&j)?;
-                        replay.units.insert(u.id, u);
-                        Some(())
-                    }
-                    Some("quarantine") => {
-                        let q = QuarantineRecord::from_json(&j)?;
-                        replay.quarantined.insert(q.id, q);
-                        Some(())
-                    }
-                    Some("profile") => {
-                        // Trailing timing record; a resumed run appends a
-                        // fresh one, so the last profile wins.
-                        replay.profile = Some(PhaseProfile::from_json(&j)?);
-                        Some(())
-                    }
-                    Some("ckpt") => {
-                        replay.ckpt = Some(CheckpointRecord::from_json(&j)?);
-                        Some(())
-                    }
-                    _ => None,
-                });
-        if parsed.is_none() {
-            eprintln!(
-                "warning: {}: dropping torn/corrupt journal record at line {} \
-                 ({} bytes); its work unit will re-execute",
-                path.display(),
-                lineno + 1,
-                line.len()
-            );
-            replay.dropped_lines += 1;
+        match line.and_then(parse_record) {
+            Some(Record::Meta(m)) => replay.meta = Some(m),
+            Some(Record::Unit(u)) => {
+                replay.units.insert(u.id, u);
+            }
+            Some(Record::Quarantine(q)) => {
+                replay.quarantined.insert(q.id, q);
+            }
+            // Trailing timing record; a resumed run appends a fresh one, so
+            // the last profile wins.
+            Some(Record::Profile(p)) => replay.profile = Some(p),
+            Some(Record::LegacyCkpt) => {}
+            None => {
+                eprintln!(
+                    "warning: {}: dropping torn/corrupt journal record at line {} \
+                     ({} bytes); its work unit will re-execute",
+                    path.display(),
+                    lineno + 1,
+                    raw.len()
+                );
+                replay.dropped_lines += 1;
+            }
         }
     }
     Ok(replay)
@@ -473,14 +425,6 @@ impl JournalWriter {
         self.write_line(&q.to_json())
     }
 
-    /// Journal the checkpoint-identity record of a checkpointed campaign.
-    /// Written right after the meta; a resume whose replay found none (torn
-    /// mid-record, say) appends a fresh copy — the record is identity, not
-    /// state, so duplicates are harmless and the last parse wins.
-    pub fn ckpt(&self, c: &CheckpointRecord) -> Result<(), String> {
-        self.write_line(&c.to_json())
-    }
-
     /// Journal the run's trailing phase profile. Written last (after all
     /// units), never merged across shards, and ignored by the resume
     /// identity check — it is timing observation, not campaign state.
@@ -515,18 +459,7 @@ pub fn write_journal_lines<'a>(
     let mut written = 0usize;
     let mut dropped = 0usize;
     for line in lines {
-        let valid = json::parse(line)
-            .ok()
-            .and_then(|j| match j.get("rec").and_then(|r| r.as_str()) {
-                Some("meta") => JournalMeta::from_json(&j).map(|_| ()),
-                Some("unit") => UnitRecord::from_json(&j).map(|_| ()),
-                Some("quarantine") => QuarantineRecord::from_json(&j).map(|_| ()),
-                Some("ckpt") => CheckpointRecord::from_json(&j).map(|_| ()),
-                Some("profile") => PhaseProfile::from_json(&j).map(|_| ()),
-                _ => None,
-            })
-            .is_some();
-        if valid {
+        if parse_record(line).is_some() {
             writeln!(w, "{line}").map_err(|e| format!("{}: {e}", path.display()))?;
             written += 1;
         } else {
@@ -540,8 +473,9 @@ pub fn write_journal_lines<'a>(
 /// Merge shard journals of one campaign into a single journal at `out`.
 ///
 /// All inputs must carry the same [`JournalMeta`] (same program, kind, seed,
-/// plan fingerprint, shard size) — shards of *different* campaigns do not
-/// merge. Duplicate unit records deduplicate (first occurrence wins; all
+/// plan fingerprint, shard size, sections) — shards of *different* campaigns
+/// do not merge. Shards run on different engines or checkpoint modes are one
+/// campaign and merge freely. Duplicate unit records deduplicate (first occurrence wins; all
 /// copies are identical by determinism); a unit both completed and
 /// quarantined resolves to completed. Returns the number of merged unit
 /// records.
@@ -550,7 +484,6 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[impl AsRef<Path>]) -> Res
         return Err("merge-journals: no input journals given".into());
     }
     let mut meta: Option<JournalMeta> = None;
-    let mut ckpt: Option<CheckpointRecord> = None;
     let mut units: BTreeMap<WorkUnitId, UnitRecord> = BTreeMap::new();
     let mut quarantined: BTreeMap<WorkUnitId, QuarantineRecord> = BTreeMap::new();
     for input in inputs {
@@ -571,11 +504,6 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[impl AsRef<Path>]) -> Res
                 }
             }
         }
-        // Checkpoint identity: the meta equality above already proved every
-        // shard shares one, so keep the first spelled-out record we see.
-        if ckpt.is_none() {
-            ckpt = replay.ckpt;
-        }
         for (id, u) in replay.units {
             units.entry(id).or_insert(u);
         }
@@ -591,9 +519,6 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[impl AsRef<Path>]) -> Res
     let mut w = BufWriter::new(f);
     let meta = meta.expect("nonempty inputs");
     writeln!(w, "{}", meta.to_json()).map_err(|e| e.to_string())?;
-    if let Some(c) = &ckpt {
-        writeln!(w, "{}", c.to_json()).map_err(|e| e.to_string())?;
-    }
     for u in units.values() {
         writeln!(w, "{}", u.to_json()).map_err(|e| e.to_string())?;
     }
@@ -624,9 +549,7 @@ mod tests {
             plan_len: 64,
             shard_size: 8,
             fingerprint: 0xDEADBEEF,
-            engine: "bytecode".into(),
             sections: 3,
-            checkpoint: "off".into(),
         }
     }
 
@@ -693,40 +616,6 @@ mod tests {
         assert_eq!(u, &unit(0, 0));
         assert_eq!(u.results[1].latency, Some(512));
         assert_eq!(u.results[1].alarms, vec!["nl".to_string(), "0".into()]);
-    }
-
-    #[test]
-    fn ckpt_record_round_trips_and_survives_merge() {
-        let path = tmp("ckpt.jsonl");
-        let out = tmp("ckpt-merged.jsonl");
-        for p in [&path, &out] {
-            let _ = std::fs::remove_file(p);
-        }
-        let mut m = meta();
-        m.checkpoint = "00ff00ff00ff00ff".into();
-        let c = CheckpointRecord {
-            identity: m.checkpoint.clone(),
-            sections: m.sections,
-            boundaries: 5,
-            engine: m.engine.clone(),
-        };
-        let w = JournalWriter::append(&path, Some(&m)).unwrap();
-        w.ckpt(&c).unwrap();
-        w.unit(&unit(0, 0)).unwrap();
-        drop(w);
-
-        let replay = read_journal(&path).unwrap();
-        assert_eq!(replay.ckpt, Some(c.clone()));
-        assert_eq!(replay.dropped_lines, 0);
-
-        // The merged journal preserves the checkpoint-identity record.
-        merge_journals(&out, &[&path]).unwrap();
-        let merged = read_journal(&out).unwrap();
-        assert_eq!(merged.ckpt, Some(c));
-        assert_eq!(merged.units.len(), 1);
-        for p in [&path, &out] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]
@@ -818,18 +707,8 @@ mod tests {
         let err = merge_journals(&out, &[&a, &c]).unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
 
-        // Same campaign identity but a different execution engine also
-        // refuses: the meta comparison covers every field.
-        let mut cross = meta();
-        cross.engine = "batch".into();
-        let w = JournalWriter::append(&c, Some(&cross)).unwrap();
-        w.unit(&unit(2, 4)).unwrap();
-        drop(w);
-        let err = merge_journals(&out, &[&a, &c]).unwrap_err();
-        assert!(err.contains("different campaign"), "{err}");
-
-        // The error names the field that differs, even when it is neither
-        // the fingerprint nor the engine.
+        // The error names the field that differs, even when it is not the
+        // fingerprint.
         let mut resized = meta();
         resized.shard_size = 16;
         let w = JournalWriter::create(&c, &resized).unwrap();

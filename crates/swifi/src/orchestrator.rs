@@ -40,8 +40,8 @@ use crate::campaign::{
 use crate::checkpoint::{CheckpointStats, CheckpointStore, SectionOutcome};
 use crate::classify::InjectionResult;
 use crate::journal::{
-    read_journal, CheckpointRecord, Fnv1a, JournalMeta, JournalReplay, JournalWriter,
-    QuarantineRecord, RecordedInjection, UnitRecord,
+    read_journal, Fnv1a, JournalMeta, JournalReplay, JournalWriter, QuarantineRecord,
+    RecordedInjection, UnitRecord,
 };
 use crate::plan::InjectionPlan;
 use crate::profile::{flag_stragglers, PhaseAcc, PhaseProfile};
@@ -351,15 +351,10 @@ pub fn run_orchestrated_campaign_traced(
     let plan_ns = t_plan.elapsed().as_nanos() as u64;
     let shard_size = orch.effective_shard_size();
     let sections = hauberk_kir::partition_sections(&env.build.kernel);
-    let engine_name = cfg
-        .engine
-        .unwrap_or_else(hauberk_sim::default_engine)
-        .name()
-        .to_string();
 
-    // Build the shared checkpoint store before the journal meta: whether the
-    // build succeeds decides the campaign's checkpoint identity. Ineligible
-    // campaigns degrade to full re-execution rather than failing.
+    // Build the shared checkpoint store. Ineligible campaigns degrade to
+    // full re-execution rather than failing; either way the results, and
+    // so the journal identity, are the same.
     let store = if orch.checkpoint {
         match CheckpointStore::build(&env, prog) {
             Ok(s) => {
@@ -379,26 +374,14 @@ pub fn run_orchestrated_campaign_traced(
     } else {
         None
     };
-    let fingerprint = fingerprint_plans(&env.plans);
-    let checkpoint_id = store.as_ref().map(|_| {
-        // Identity of the checkpointed execution mode: the plan, the kernel's
-        // section structure, and the engine the snapshots were captured on.
-        let mut h = Fnv1a::default();
-        h.write(&fingerprint.to_le_bytes());
-        h.write(&sections.section_hash().to_le_bytes());
-        h.write(engine_name.as_bytes());
-        format!("{:016x}", h.finish())
-    });
     let meta = JournalMeta {
         program: prog.name().to_string(),
         kind: kind.label().to_string(),
         seed: cfg.seed,
         plan_len: env.plans.len() as u64,
         shard_size: shard_size as u64,
-        fingerprint,
-        engine: engine_name.clone(),
+        fingerprint: fingerprint_plans(&env.plans),
         sections: sections.sections.len() as u64,
-        checkpoint: checkpoint_id.clone().unwrap_or_else(|| "off".into()),
     };
 
     let mut journal_ns = 0u64;
@@ -432,20 +415,6 @@ pub fn run_orchestrated_campaign_traced(
         (None, Some(path)) => Some(JournalWriter::create(path, &meta)?),
         (None, None) => None,
     };
-    // Spell the checkpoint identity out right after the meta. A fresh
-    // journal never holds one yet; a resumed journal normally does, unless
-    // the original record was torn away — either way, write it iff the
-    // replay recovered none.
-    if let (Some(w), Some(s), Some(id)) = (&writer, &store, &checkpoint_id) {
-        if replay.ckpt.is_none() {
-            w.ckpt(&CheckpointRecord {
-                identity: id.clone(),
-                sections: sections.sections.len() as u64,
-                boundaries: s.boundaries(),
-                engine: engine_name.clone(),
-            })?;
-        }
-    }
     journal_ns += t_writer.elapsed().as_nanos() as u64;
 
     // Partition plan indices by stratum (plan order preserved inside each).
@@ -825,6 +794,7 @@ mod tests {
     use hauberk_benchmarks::{cp::Cp, ProblemScale};
     use hauberk_kir::types::DataClass;
     use hauberk_kir::HwComponent;
+    use hauberk_sim::ExecEngine;
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig {
@@ -1128,40 +1098,126 @@ mod tests {
         assert!(err.contains("different campaign"), "{err}");
     }
 
-    /// A journal written under one engine refuses to resume under another,
-    /// and the error names the engine field (not a fingerprint red herring —
-    /// the plans are identical, only the meta's engine differs).
-    #[test]
-    fn cross_engine_resume_is_rejected() {
-        let prog = Cp::new(ProblemScale::Quick);
+    /// Run a tiny CP sensitivity campaign on `engine` (tests run it often,
+    /// a third of the time on the slow tree walker), with checkpointing on
+    /// or off, under the journal settings of `orch`.
+    fn run_on(
+        engine: ExecEngine,
+        checkpoint: bool,
+        orch: OrchestratorConfig,
+    ) -> ShardedCampaignResult {
         let mut cfg = small_cfg();
-        cfg.engine = Some(hauberk_sim::ExecEngine::Bytecode);
-        let journal = tmp("cross-engine.jsonl");
-        let _ = std::fs::remove_file(&journal);
-        run_orchestrated_campaign(
-            &prog,
-            CampaignKind::Sensitivity,
-            &cfg,
-            &OrchestratorConfig {
-                journal_path: Some(journal.clone()),
+        (cfg.plan.vars_per_program, cfg.plan.masks_per_var) = (2, 4);
+        cfg.engine = Some(engine);
+        let prog = Cp::new(ProblemScale::Quick);
+        let orch = OrchestratorConfig { checkpoint, ..orch };
+        run_orchestrated_campaign(&prog, CampaignKind::Sensitivity, &cfg, &orch).unwrap()
+    }
+
+    /// Engine and checkpoint mode are observational: a journal interrupted
+    /// under one engine resumes under each other engine, and one written
+    /// with checkpointing on resumes with it off (and the reverse), to a
+    /// summary byte-identical to an uninterrupted run.
+    #[test]
+    fn resume_across_engines_and_checkpoint_modes_is_byte_identical() {
+        use ExecEngine::{Batch, Bytecode, TreeWalk};
+        let full = run_on(Bytecode, false, OrchestratorConfig::default());
+        let journal = tmp("cross-resume.jsonl");
+        for (written, resumed_as) in [
+            ((TreeWalk, false), (Bytecode, false)),
+            ((TreeWalk, false), (Batch, false)),
+            ((Bytecode, false), (TreeWalk, false)),
+            ((Bytecode, false), (Batch, false)),
+            ((Batch, false), (TreeWalk, false)),
+            ((Batch, false), (Bytecode, false)),
+            ((Bytecode, true), (Bytecode, false)),
+            ((Bytecode, false), (Bytecode, true)),
+        ] {
+            let orch = |journal_path, resume_from| OrchestratorConfig {
+                shard_size: 2,
+                journal_path,
+                resume_from,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut other = cfg.clone();
-        other.engine = Some(hauberk_sim::ExecEngine::Batch);
-        let err = run_orchestrated_campaign(
-            &prog,
-            CampaignKind::Sensitivity,
-            &other,
-            &OrchestratorConfig {
-                resume_from: Some(journal.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+            };
+            run_on(written.0, written.1, orch(Some(journal.clone()), None));
+            // Keep the meta and two units: an interruption mid-campaign.
+            let text = std::fs::read_to_string(&journal).unwrap();
+            let keep: Vec<&str> = text.lines().take(3).collect();
+            std::fs::write(&journal, format!("{}\n", keep.join("\n"))).unwrap();
+            let r = run_on(
+                resumed_as.0,
+                resumed_as.1,
+                orch(None, Some(journal.clone())),
+            );
+            let case = format!("{written:?} resumed as {resumed_as:?}");
+            assert_eq!((r.resumed_units, r.dropped_lines), (2, 0), "{case}");
+            assert!(r.resumed_injections < r.executed, "{case}");
+            assert_eq!(full.summary_json(), r.summary_json(), "{case}");
+            assert_eq!(full.summarize(), r.summarize(), "{case}");
+        }
         std::fs::remove_file(&journal).ok();
-        assert!(err.contains("engine bytecode, expected batch"), "{err}");
+    }
+
+    /// A version-3 journal — meta with the legacy `engine`/`checkpoint`
+    /// fields plus a `ckpt` record — still reads: it resumes under every
+    /// engine and both checkpoint modes with no dropped line and no
+    /// injection re-executed. `write_journal_lines` keeps the legacy line;
+    /// `merge_journals` does not re-emit it.
+    #[test]
+    fn legacy_v3_journal_resumes_on_every_engine_and_mode() {
+        use crate::journal::{merge_journals, write_journal_lines};
+        let [current, legacy, merged] =
+            ["src", "v3", "merged"].map(|t| tmp(&format!("legacy-{t}")));
+        let full = run_on(
+            ExecEngine::Bytecode,
+            false,
+            OrchestratorConfig {
+                journal_path: Some(current.clone()),
+                ..Default::default()
+            },
+        );
+        let text = std::fs::read_to_string(&current).unwrap();
+        let (meta, records) = text.split_once('\n').unwrap();
+        let meta = meta.replace(
+            r#""version":4"#,
+            r#""checkpoint":"6253c4a38f9213ac","engine":"bytecode","version":3"#,
+        );
+        let ckpt = r#"{"boundaries":16,"engine":"bytecode","identity":"6253c4a38f9213ac","rec":"ckpt","sections":3}"#;
+        let v3 = format!("{meta}\n{ckpt}\n{records}");
+        for engine in [
+            ExecEngine::TreeWalk,
+            ExecEngine::Bytecode,
+            ExecEngine::Batch,
+        ] {
+            for checkpoint in [false, true] {
+                // A resume appends a profile record, so start from the text.
+                std::fs::write(&legacy, &v3).unwrap();
+                let orch = OrchestratorConfig {
+                    resume_from: Some(legacy.clone()),
+                    ..Default::default()
+                };
+                let r = run_on(engine, checkpoint, orch);
+                let case = format!("{engine:?} checkpoint={checkpoint}");
+                assert_eq!(r.dropped_lines, 0, "{case}");
+                assert_eq!(r.resumed_injections, r.executed, "{case}: no re-execution");
+                assert_eq!(full.summary_json(), r.summary_json(), "{case}");
+            }
+        }
+        let lines = v3.lines().count();
+        assert_eq!(
+            write_journal_lines(&current, v3.lines()).unwrap(),
+            (lines, 0)
+        );
+        assert!(std::fs::read_to_string(&current).unwrap().contains(ckpt));
+        merge_journals(&merged, &[&legacy]).unwrap();
+        let out = std::fs::read_to_string(&merged).unwrap();
+        assert!(
+            !out.contains(r#""rec":"ckpt""#) && !out.contains("engine"),
+            "{out}"
+        );
+        for p in [&current, &legacy, &merged] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     /// The headline equivalence: a checkpointed campaign produces summaries
@@ -1206,50 +1262,6 @@ mod tests {
             // The plain run carries sections but no checkpoint ledger.
             assert!(full.checkpoint.is_none());
         }
-    }
-
-    /// A journal written by a checkpointed campaign refuses to resume in
-    /// plain mode (and vice versa), naming the checkpoint field.
-    #[test]
-    fn checkpoint_mode_mismatch_refuses_resume() {
-        let prog = Cp::new(ProblemScale::Quick);
-        let cfg = small_cfg();
-        let journal = tmp("ckpt-mode.jsonl");
-        let _ = std::fs::remove_file(&journal);
-        let r = run_orchestrated_campaign(
-            &prog,
-            CampaignKind::Sensitivity,
-            &cfg,
-            &OrchestratorConfig {
-                journal_path: Some(journal.clone()),
-                checkpoint: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(r.checkpoint.is_some());
-        // The journal spells the identity out in a ckpt record.
-        let replay = crate::journal::read_journal(&journal).unwrap();
-        let ck = replay.ckpt.expect("ckpt record written");
-        assert_eq!(
-            Some(&ck.identity),
-            replay.meta.as_ref().map(|m| &m.checkpoint)
-        );
-        assert_eq!(ck.boundaries, r.checkpoint.as_ref().unwrap().boundaries);
-
-        let err = run_orchestrated_campaign(
-            &prog,
-            CampaignKind::Sensitivity,
-            &cfg,
-            &OrchestratorConfig {
-                resume_from: Some(journal.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        std::fs::remove_file(&journal).ok();
-        assert!(err.contains("checkpoint"), "{err}");
-        assert!(err.contains("expected off"), "{err}");
     }
 
     /// Checkpointed journals resume like plain ones: interrupt, resume with
@@ -1310,7 +1322,14 @@ mod tests {
         for p in [&j0, &j1, &merged] {
             let _ = std::fs::remove_file(p);
         }
-        for (i, path) in [(0u32, &j0), (1u32, &j1)] {
+        // Each shard runs on its own engine and checkpoint mode: neither is
+        // part of the campaign identity, so the shards still merge.
+        for (i, path, engine, checkpoint) in [
+            (0u32, &j0, ExecEngine::TreeWalk, false),
+            (1u32, &j1, ExecEngine::Batch, true),
+        ] {
+            let mut cfg = cfg.clone();
+            cfg.engine = Some(engine);
             let r = run_orchestrated_campaign(
                 &prog,
                 CampaignKind::Sensitivity,
@@ -1318,6 +1337,7 @@ mod tests {
                 &OrchestratorConfig {
                     journal_path: Some(path.clone()),
                     shard: Some((i, 2)),
+                    checkpoint,
                     ..Default::default()
                 },
             )

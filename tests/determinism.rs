@@ -23,10 +23,12 @@ use hauberk::builds::FtOptions;
 use hauberk_benchmarks::{program_by_name, ProblemScale};
 use hauberk_sim::ExecEngine;
 use hauberk_swifi::campaign::{run_coverage_campaign, CampaignConfig, CampaignKind};
+use hauberk_swifi::journal::{merge_journals, read_journal, JournalWriter, QuarantineRecord};
 use hauberk_swifi::orchestrator::{run_orchestrated_campaign, OrchestratorConfig};
 use hauberk_swifi::plan::PlanConfig;
 use hauberk_swifi::report::{summary_json, to_csv};
-use std::path::PathBuf;
+use hauberk_swifi::ShardedCampaignResult;
+use std::path::{Path, PathBuf};
 
 fn campaign_fingerprint(engine: ExecEngine, threads: usize) -> (String, String) {
     rayon::set_thread_count(threads);
@@ -92,7 +94,7 @@ fn orch_cfg() -> CampaignConfig {
     }
 }
 
-fn run_orch(orch: &OrchestratorConfig) -> (hauberk_swifi::ShardedCampaignResult, String, String) {
+fn run_orch(orch: &OrchestratorConfig) -> (ShardedCampaignResult, String, String) {
     let prog = program_by_name("CP", ProblemScale::Quick).expect("CP exists");
     let r = run_orchestrated_campaign(
         prog.as_ref(),
@@ -231,7 +233,7 @@ fn tear_line(full: &std::path::Path, cut: &std::path::Path, line: usize, keep_by
     std::fs::write(cut, &out).unwrap();
 }
 
-/// A kill during the very first write can tear the v3 meta header itself.
+/// A kill during the very first write can tear the meta header itself.
 /// The resume must drop the fragment, append a fresh meta record, re-execute
 /// everything, and still converge to the byte-identical summary — and the
 /// healed journal must then replay clean.
@@ -262,7 +264,7 @@ fn torn_meta_header_heals_on_resume() {
 
     // The resume appended a fresh meta; the healed journal now replays with
     // zero fresh execution.
-    let replay = hauberk_swifi::journal::read_journal(&cut_journal).unwrap();
+    let replay = read_journal(&cut_journal).unwrap();
     assert!(replay.meta.is_some(), "fresh meta appended on resume");
     assert_eq!(
         replay.dropped_lines, 1,
@@ -281,63 +283,81 @@ fn torn_meta_header_heals_on_resume() {
     assert_eq!(full_text, rep_text, "replayed summary differs");
 }
 
-/// A checkpointed journal spells its checkpoint identity out in a `ckpt`
-/// record right after the meta. A kill can tear that record too; the resume
-/// must drop the fragment, re-append the identity, and converge byte-
-/// identically — with the checkpoint store still engaged.
+/// Run the journaled campaign, let `damage` corrupt its journal in place,
+/// and resume from it: exactly one line must drop, and the summary must
+/// equal the uninterrupted run's. Returns the resumed run and the journal.
+fn damage_and_resume(tag: &str, damage: impl FnOnce(&Path)) -> (ShardedCampaignResult, PathBuf) {
+    let journal = tmp(&format!("{tag}.jsonl"));
+    let orch = |journal_path, resume_from| OrchestratorConfig {
+        shard_size: 5,
+        journal_path,
+        resume_from,
+        ..Default::default()
+    };
+    let (full, full_text, full_json) = run_orch(&orch(Some(journal.clone()), None));
+    damage(&journal);
+    let (resumed, text, json) = run_orch(&orch(None, Some(journal.clone())));
+    assert_eq!(resumed.dropped_lines, 1, "only the damaged line drops");
+    assert_eq!(full.executed, resumed.executed);
+    assert!(resumed.quarantined.is_empty());
+    assert_eq!(full_text, text, "resumed text summary differs");
+    assert_eq!(full_json, json, "resumed JSON summary differs");
+    (resumed, journal)
+}
+
+/// Stored bytes flip. One high bit flipped inside a unit record makes that
+/// line invalid UTF-8: the reader must drop just that line, not fail the
+/// whole journal, and re-execute only that unit; merge reads past it too.
 #[test]
-fn torn_checkpoint_record_heals_on_resume() {
-    let full_journal = tmp("ckpt-full.jsonl");
-    let cut_journal = tmp("ckpt-cut.jsonl");
-    for p in [&full_journal, &cut_journal] {
-        let _ = std::fs::remove_file(p);
+fn non_utf8_unit_line_is_dropped_and_resume_converges() {
+    let (resumed, journal) = damage_and_resume("flip", |path| {
+        let mut bytes = std::fs::read(path).unwrap();
+        let nl: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+        // The fourth record, a unit, lies between the third and fourth `\n`.
+        let (lo, hi) = (nl[2], nl[3]);
+        assert!(String::from_utf8_lossy(&bytes[lo..hi]).contains(r#""rec":"unit""#));
+        bytes[(lo + hi) / 2] ^= 0x80;
+        std::fs::write(path, bytes).unwrap();
+    });
+    let rerun = resumed.executed - resumed.resumed_injections;
+    assert!(rerun > 0 && rerun <= 5, "only the flipped unit re-executes");
+    let merged = tmp("flip-merged.jsonl");
+    let units = merge_journals(&merged, &[&journal]).unwrap();
+    for p in [&journal, &merged] {
+        std::fs::remove_file(p).ok();
     }
-    let (full, full_text, full_json) = run_orch(&OrchestratorConfig {
-        shard_size: 5,
-        journal_path: Some(full_journal.clone()),
-        checkpoint: true,
-        ..Default::default()
-    });
-    assert!(full.checkpoint.is_some(), "checkpoint store must build");
-    {
-        // Layout check: the record under tear really is the ckpt identity.
-        let replay = hauberk_swifi::journal::read_journal(&full_journal).unwrap();
-        let meta = replay.meta.expect("meta record");
-        let ck = replay.ckpt.expect("ckpt record");
-        assert_eq!(ck.identity, meta.checkpoint, "identity matches the meta");
-    }
-    // Keep the meta, tear the ckpt record (line 1) mid-write.
-    tear_line(&full_journal, &cut_journal, 1, 20);
-    let _ = std::fs::remove_file(&full_journal);
+    assert_eq!(units as u64, resumed.resumed_units + 1);
+}
 
-    let (resumed, res_text, res_json) = run_orch(&OrchestratorConfig {
-        shard_size: 5,
-        resume_from: Some(cut_journal.clone()),
-        checkpoint: true,
-        ..Default::default()
+/// A kill can tear the tail inside a multi-byte character, here in a
+/// quarantine record's `error` string. The torn line is not UTF-8; the
+/// resume must drop it and run the unit it named.
+#[test]
+fn tail_torn_inside_multibyte_char_heals_on_resume() {
+    let (resumed, journal) = damage_and_resume("multibyte", |path| {
+        // Keep the meta and two units, then quarantine a unit that did not
+        // make the cut, torn inside the `∑` of its message.
+        let victim = *read_journal(path).unwrap().units.keys().last().unwrap();
+        tear_line(path, path, 3, 0);
+        let quarantine = QuarantineRecord {
+            id: victim,
+            attempts: 3,
+            error: "résultat ∑ ≠ référence".into(),
+        };
+        JournalWriter::append(path, None)
+            .unwrap()
+            .quarantine(&quarantine)
+            .unwrap();
+        let mut bytes = std::fs::read(path).unwrap();
+        let sigma = bytes.windows(3).position(|w| w == "∑".as_bytes()).unwrap();
+        bytes.truncate(sigma + 1);
+        std::fs::write(path, bytes).unwrap();
     });
-    assert_eq!(resumed.resumed_units, 0, "only meta survived the tear");
-    assert_eq!(resumed.dropped_lines, 1, "the ckpt fragment is dropped");
-    assert!(resumed.checkpoint.is_some(), "resume still checkpoints");
-    assert_eq!(full_text, res_text, "resumed text summary differs");
-    assert_eq!(full_json, res_json, "resumed JSON summary differs");
-
-    // The identity record was re-appended: the healed journal carries it
-    // again and replays with zero fresh execution.
-    let replay = hauberk_swifi::journal::read_journal(&cut_journal).unwrap();
-    let meta = replay.meta.expect("meta record");
-    let ck = replay.ckpt.expect("ckpt record re-appended on resume");
-    assert_eq!(ck.identity, meta.checkpoint, "healed identity matches meta");
-    let (replayed, rep_text, _) = run_orch(&OrchestratorConfig {
-        shard_size: 5,
-        resume_from: Some(cut_journal.clone()),
-        checkpoint: true,
-        ..Default::default()
-    });
-    let _ = std::fs::remove_file(&cut_journal);
+    assert_eq!(resumed.resumed_units, 2);
+    let healed = read_journal(&journal).unwrap();
+    std::fs::remove_file(&journal).ok();
     assert_eq!(
-        replayed.resumed_injections, replayed.executed,
-        "healed checkpointed journal replays without re-execution"
+        healed.dropped_lines, 1,
+        "only the original fragment is torn"
     );
-    assert_eq!(full_text, rep_text, "replayed summary differs");
 }
