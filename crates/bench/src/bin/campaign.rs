@@ -61,7 +61,6 @@
 
 use hauberk::translator::select::HardeningPlan;
 use hauberk_bench::cli::{all_spec_flags, parse_args, Args, CliError, LocalFlag};
-use hauberk_serve::JobSpec;
 use hauberk_swifi::campaign::CampaignConfig;
 use hauberk_swifi::harden::{evaluate_placement, harden, HardenConfig};
 use hauberk_swifi::journal::merge_journals;
@@ -102,15 +101,11 @@ fn write(path: &str, contents: String) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| CliError::Failed(format!("write {path}: {e}")))
 }
 
-/// Pin the worker-thread count (`--threads N`) and, when the spec names an
-/// engine, the process-wide default engine, so golden and profiling runs
-/// use it too, not just the injection loop.
-fn apply_process_settings(args: &Args, spec: &JobSpec) -> Result<(), CliError> {
+/// Pin the worker-thread count (`--threads N`). The spec's engine needs no
+/// process setting: `CampaignConfig::engine` reaches every run.
+fn apply_threads(args: &Args) -> Result<(), CliError> {
     if let Some(n) = args.parse("--threads")? {
         rayon::set_thread_count(n);
-    }
-    if let Some(e) = spec.engine {
-        hauberk_sim::set_default_engine(e);
     }
     Ok(())
 }
@@ -145,7 +140,7 @@ fn merge_main(args: &[String]) -> Result<(), CliError> {
 fn harden_main(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, HARDEN_SPEC, HARDEN_LOCAL)?;
     let spec = args.job_spec()?;
-    apply_process_settings(&args, &spec)?;
+    apply_threads(&args)?;
     let budgets = match args.value("--budgets") {
         Some(v) => v
             .split(',')
@@ -270,7 +265,7 @@ fn campaign_main(args: &[String]) -> Result<(), CliError> {
             "--journal (fresh) and --resume are mutually exclusive".into(),
         ));
     }
-    apply_process_settings(&args, &spec)?;
+    apply_threads(&args)?;
     let prog = spec.build_program().map_err(CliError::Usage)?;
     let trace_path = args.value("--trace-out");
     let cfg = CampaignConfig {

@@ -4,7 +4,7 @@
 //! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|all]
 //!         [--paper]     use larger problem sizes / experiment counts
 //!         [--json]      one JSON document instead of text sections
-//!         [--engine E]  execution engine: tree-walk, bytecode (default), or batch
+//!         [--engine E]  execution engine: tree-walk, bytecode, or batch (default)
 //!         [--threads N] pin the campaign worker-thread count (0 = one per core)
 //! ```
 //!

@@ -231,13 +231,25 @@ pub fn run_program_with_engine(
 /// quantity the hang watchdog budget is expressed in; simulated kernel
 /// *time* is the per-SM maximum and is reported by [`run_program`]'s stats).
 pub fn golden_run(prog: &dyn HostProgram, dataset: u64) -> (Vec<f64>, u64) {
+    golden_run_with_engine(prog, dataset, None)
+}
+
+/// [`golden_run`] on an explicit engine (`None` = the device default), so a
+/// campaign's golden run uses the engine its injections use.
+pub fn golden_run_with_engine(
+    prog: &dyn HostProgram,
+    dataset: u64,
+    engine: Option<ExecEngine>,
+) -> (Vec<f64>, u64) {
     let kernel = prog.build_kernel();
-    let run = run_program(
+    let run = run_program_with_engine(
         prog,
         &kernel,
         dataset,
         &mut hauberk_sim::NullRuntime,
         Launch::DEFAULT_BUDGET,
+        &hauberk_telemetry::Telemetry::disabled(),
+        engine,
     );
     let stats = run.outcome.completed_stats().unwrap_or_else(|| {
         panic!(

@@ -45,16 +45,15 @@ impl ProfilerRuntime {
             .sum()
     }
 
-    /// Threads that executed `site`, with their counts, in thread order.
-    pub fn threads_of(&self, site: SiteId) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self
-            .exec_counts
-            .iter()
-            .filter(|((s, _), _)| *s == site)
-            .map(|((_, t), c)| (*t, *c))
-            .collect();
-        v.sort_unstable();
-        v
+    /// Every `(site, thread, count)` execution record, sorted by site and
+    /// then thread: one site's threads are a contiguous run, so a caller
+    /// looking up many sites (the campaign planner, once per planned
+    /// injection) binary-searches instead of rescanning `exec_counts`.
+    pub fn sorted_execs(&self) -> Vec<(SiteId, u32, u64)> {
+        let mut execs = Vec::with_capacity(self.exec_counts.len());
+        execs.extend(self.exec_counts.iter().map(|(&(s, t), &c)| (s, t, c)));
+        execs.sort_unstable();
+        execs
     }
 }
 
@@ -594,7 +593,7 @@ mod tests {
         };
         pr.on_hook(&count_hook, &mut ctx);
         assert_eq!(pr.total_execs(9), 1);
-        assert_eq!(pr.threads_of(9), vec![(3, 1)]);
+        assert_eq!(pr.sorted_execs(), vec![(9, 3, 1)]);
         assert_eq!(pr.site_samples[&9], vec![42.0]);
     }
 }

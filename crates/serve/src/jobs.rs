@@ -23,6 +23,7 @@ use hauberk_swifi::plan::PlanConfig;
 use hauberk_swifi::sampler::AdaptiveConfig;
 use hauberk_telemetry::json::Json;
 use hauberk_telemetry::{lock_recover, Event, Telemetry, TelemetrySink};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -705,6 +706,11 @@ struct JobState {
 struct EventBuf {
     lines: Vec<String>,
     dropped: u64,
+    /// Indices of the telemetry lines: everything but `job_state` and
+    /// `journal` events, which are never released.
+    telemetry: Vec<usize>,
+    /// Total bytes of the lines in `telemetry`.
+    telemetry_bytes: usize,
 }
 
 /// One submitted campaign job: spec, lifecycle state, progress counters,
@@ -727,6 +733,42 @@ pub struct Job {
 /// Retained event lines per job; beyond this the log counts drops instead
 /// of growing (the stream reports the gap).
 pub const MAX_EVENT_LINES: usize = 100_000;
+
+/// Daemon-wide byte budget for the telemetry lines of finished jobs. Past
+/// it, [`FinishedLogs`] releases the oldest finished job's telemetry, so a
+/// daemon's memory does not grow with the number of jobs it has finished.
+pub const FINISHED_TELEMETRY_BYTES: usize = 1 << 20;
+
+/// Finished jobs in finish order, with the telemetry bytes each still
+/// holds, bounded by [`FINISHED_TELEMETRY_BYTES`]. The most recently
+/// finished job always keeps its full log.
+#[derive(Debug, Default)]
+pub struct FinishedLogs {
+    jobs: VecDeque<(Arc<Job>, usize)>,
+    bytes: usize,
+}
+
+impl FinishedLogs {
+    /// Account a job that just turned terminal, then release the oldest
+    /// finished jobs' telemetry until the budget holds again.
+    pub fn retire(&mut self, job: Arc<Job>) {
+        let held = lock_recover(&job.events).telemetry_bytes;
+        self.bytes += held;
+        self.jobs.push_back((job, held));
+        while self.bytes > FINISHED_TELEMETRY_BYTES && self.jobs.len() > 1 {
+            let Some((old, held)) = self.jobs.pop_front() else {
+                break;
+            };
+            old.release_telemetry();
+            self.bytes -= held;
+        }
+    }
+
+    /// Telemetry bytes the finished jobs still hold.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
 
 impl Job {
     /// New queued job.
@@ -861,24 +903,41 @@ impl Job {
     /// fleet coordinator reads shard journals back through.
     pub fn push_journal_line(&self, line: &str) {
         let ev = Json::obj([("ev", Json::str("journal")), ("line", Json::str(line))]);
-        self.push_line(ev.to_string());
+        self.push_line(ev.to_string(), false);
     }
 
     fn push_lifecycle(&self, state: &str) {
         let line = Json::obj([("ev", Json::str("job_state")), ("state", Json::str(state))]);
-        self.push_line(line.to_string());
+        self.push_line(line.to_string(), false);
     }
 
-    fn push_line(&self, line: String) {
+    /// Append one event line; `telemetry` lines may later be released by
+    /// [`FinishedLogs`].
+    fn push_line(&self, line: String, telemetry: bool) {
         {
             let mut buf = lock_recover(&self.events);
             if buf.lines.len() < MAX_EVENT_LINES {
+                if telemetry {
+                    let at = buf.lines.len();
+                    buf.telemetry.push(at);
+                    buf.telemetry_bytes += line.len();
+                }
                 buf.lines.push(line);
             } else {
                 buf.dropped += 1;
             }
         }
         self.wake.notify_all();
+    }
+
+    /// Empty every telemetry line, keeping `job_state` and `journal` lines
+    /// and every line's position, so stream cursors stay valid.
+    fn release_telemetry(&self) {
+        let mut buf = lock_recover(&self.events);
+        for i in std::mem::take(&mut buf.telemetry) {
+            buf.lines[i] = String::new();
+        }
+        buf.telemetry_bytes = 0;
     }
 
     /// Long-poll helper for `GET /v1/campaigns/:id?watch=<state>`: block
@@ -906,10 +965,10 @@ impl Job {
         }
     }
 
-    /// Event lines after `from`, blocking up to `wait` for new ones.
-    /// Returns `(new_lines, dropped_so_far, terminal)`; an empty batch with
-    /// `terminal = true` means the stream is complete.
-    pub fn events_since(&self, from: usize, wait: Duration) -> (Vec<String>, u64, bool) {
+    /// Event lines after cursor `from`, blocking up to `wait` for new ones.
+    /// Lines released by [`FinishedLogs`] are skipped and counted in
+    /// [`EventBatch::released`].
+    pub fn events_since(&self, from: usize, wait: Duration) -> EventBatch {
         let mut buf = lock_recover(&self.events);
         if buf.lines.len() <= from && !self.phase().terminal() {
             let (b, _timeout) = self
@@ -918,11 +977,35 @@ impl Job {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             buf = b;
         }
-        let lines = buf.lines.get(from..).unwrap_or(&[]).to_vec();
-        let dropped = buf.dropped;
+        let new = buf.lines.get(from..).unwrap_or(&[]);
+        let lines: Vec<String> = new.iter().filter(|l| !l.is_empty()).cloned().collect();
+        let released = (new.len() - lines.len()) as u64;
+        let (next, dropped) = (from + new.len(), buf.dropped);
         drop(buf);
-        (lines, dropped, self.phase().terminal())
+        EventBatch {
+            lines,
+            next,
+            dropped,
+            released,
+            terminal: self.phase().terminal(),
+        }
     }
+}
+
+/// One read of a job's event log ([`Job::events_since`]).
+#[derive(Debug)]
+pub struct EventBatch {
+    /// The new lines, in order.
+    pub lines: Vec<String>,
+    /// The cursor to read from next.
+    pub next: usize,
+    /// Lines overflowed past [`MAX_EVENT_LINES`] so far (never stored).
+    pub dropped: u64,
+    /// Released lines skipped in this batch.
+    pub released: u64,
+    /// The job was terminal when read: an empty batch means the stream is
+    /// complete.
+    pub terminal: bool,
 }
 
 /// Telemetry sink wired into a job's campaign run: serializes every event
@@ -951,7 +1034,7 @@ impl TelemetrySink for JobEventSink {
             }
             _ => {}
         }
-        self.job.push_line(event.to_json().to_string());
+        self.job.push_line(event.to_json().to_string(), true);
     }
 }
 
@@ -1198,16 +1281,66 @@ mod tests {
     #[test]
     fn job_event_log_streams_and_terminates() {
         let job = Job::new("cj-1".into(), JobSpec::default());
-        let (lines, dropped, terminal) = job.events_since(0, Duration::from_millis(1));
-        assert_eq!(lines.len(), 1, "queued lifecycle event");
-        assert_eq!(dropped, 0);
-        assert!(!terminal);
+        let b = job.events_since(0, Duration::from_millis(1));
+        assert_eq!(b.lines.len(), 1, "queued lifecycle event");
+        assert_eq!((b.next, b.dropped, b.released), (1, 0, 0));
+        assert!(!b.terminal);
         job.start();
         job.finish("{}".to_string());
-        let (lines, _, terminal) = job.events_since(1, Duration::from_millis(1));
-        assert_eq!(lines.len(), 2, "running + done");
-        assert!(terminal);
+        let b = job.events_since(1, Duration::from_millis(1));
+        assert_eq!(b.lines.len(), 2, "running + done");
+        assert_eq!(b.next, 3);
+        assert!(b.terminal);
         assert_eq!(job.phase(), JobPhase::Done);
         assert_eq!(job.result().as_deref(), Some("{}"));
+    }
+
+    /// A finished job with `n` telemetry lines of `len` bytes, then one
+    /// journal line.
+    fn finished_job(id: &str, n: usize, len: usize) -> Arc<Job> {
+        let job = Job::new(id.into(), JobSpec::default());
+        job.start();
+        for _ in 0..n {
+            job.push_line("x".repeat(len), true);
+        }
+        job.push_journal_line(r#"{"rec":"unit"}"#);
+        job.finish("{}".to_string());
+        job
+    }
+
+    #[test]
+    fn finished_logs_stay_within_budget_and_keep_lifecycle_and_journal_lines() {
+        let per_job = FINISHED_TELEMETRY_BYTES / 4;
+        let mut logs = FinishedLogs::default();
+        let jobs: Vec<Arc<Job>> = (0..20)
+            .map(|i| finished_job(&format!("cj-{i}"), 16, per_job / 16))
+            .collect();
+        for job in &jobs {
+            logs.retire(job.clone());
+            assert!(logs.bytes() <= FINISHED_TELEMETRY_BYTES);
+        }
+        let newest = jobs.last().unwrap().events_since(0, Duration::ZERO);
+        assert_eq!(newest.released, 0, "the newest job keeps its full log");
+        assert_eq!(newest.lines.len(), 16 + 4);
+        let oldest = jobs[0].events_since(0, Duration::ZERO);
+        assert_eq!(oldest.released, 16);
+        assert_eq!(oldest.next, newest.next, "cursors keep their positions");
+        let kinds: Vec<&str> = oldest
+            .lines
+            .iter()
+            .map(|l| {
+                if l.contains("journal") {
+                    "journal"
+                } else {
+                    "job_state"
+                }
+            })
+            .collect();
+        assert_eq!(kinds, ["job_state", "job_state", "journal", "job_state"]);
+        // Past the budget, only the newest job may still exceed it.
+        let one_big = finished_job("cj-big", 4, FINISHED_TELEMETRY_BYTES);
+        logs.retire(one_big.clone());
+        assert_eq!(one_big.events_since(0, Duration::ZERO).released, 0);
+        assert_eq!(logs.bytes(), 4 * FINISHED_TELEMETRY_BYTES);
     }
 }

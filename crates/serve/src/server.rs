@@ -15,13 +15,13 @@
 
 use crate::fleet::{run_fleet_campaign, FleetEnv};
 use crate::http::{self, ChunkedWriter, Limits, RecvError, Request};
-use crate::jobs::{Job, JobEventSink, JobPhase, JobSpec};
+use crate::jobs::{FinishedLogs, Job, JobEventSink, JobPhase, JobSpec};
 use hauberk_swifi::orchestrator::CANCELED;
 use hauberk_telemetry::json::{parse_with_limits, Json, ParseLimits};
 use hauberk_telemetry::metrics::{to_prometheus, Registry};
 use hauberk_telemetry::{lock_recover, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -235,6 +235,11 @@ struct Inner {
     /// also mix this in when several daemons share one process (tests,
     /// loopback fleets).
     instance: u64,
+    /// Where [`Inner::request_shutdown`] connects to wake the blocked
+    /// `accept`: the bound port, on loopback when bound to a wildcard.
+    wake_addr: SocketAddr,
+    /// Finished jobs' telemetry lines under one daemon-wide byte budget.
+    finished: Mutex<FinishedLogs>,
 }
 
 /// Source of [`Inner::instance`].
@@ -337,6 +342,7 @@ impl Inner {
             self.busy.fetch_add(1, Ordering::SeqCst);
             self.run_job(&job);
             self.busy.fetch_sub(1, Ordering::SeqCst);
+            lock_recover(&self.finished).retire(job);
         }
     }
 
@@ -470,13 +476,13 @@ pub struct Server {
 /// Control handle for a daemon running on background threads.
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     join: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -505,6 +511,9 @@ impl Inner {
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.work.notify_all();
+        // The accept loop blocks in `accept`; one loopback connection wakes
+        // it, and it drops that connection once it sees the flag.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         // Jobs still queued will not run in this process lifetime; their
         // specs are on disk (when persistence is on), so a restart re-queues
         // them. Mark them so clients polling status see a truthful state.
@@ -519,7 +528,7 @@ impl Server {
     /// Bind the listener, recover persisted jobs, and prepare the pool.
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let wake_addr = loopback_for(listener.local_addr()?);
         let inner = Arc::new(Inner {
             paused: AtomicBool::new(cfg.start_paused),
             cfg,
@@ -541,13 +550,15 @@ impl Server {
             cache: Mutex::new(ResultCache::default()),
             worker_retry_after: AtomicU64::new(0),
             instance: INSTANCES.fetch_add(1, Ordering::SeqCst),
+            wake_addr,
+            finished: Mutex::new(FinishedLogs::default()),
         });
         recover_state(&inner);
         Ok(Server { listener, inner })
     }
 
     /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -590,11 +601,26 @@ fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
         .collect()
 }
 
-/// Poll-accept until shutdown. Nonblocking + sleep keeps the loop able to
-/// observe the shutdown flag without platform-specific socket tricks.
+/// The address that reaches a listener bound to `bound` from this host:
+/// the same port, on loopback when the listener took a wildcard address.
+fn loopback_for(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Blocking accept until shutdown. [`Inner::request_shutdown`] wakes the
+/// blocked `accept` with a loopback connection, which is dropped here once
+/// the flag is set. Only a failing `accept` (say, out of descriptors) backs
+/// off briefly before retrying.
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if inner.shutdown.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 if inner.conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
                     inner.metrics.incr("http_rejected_overload", 1);
@@ -615,10 +641,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
                     inner.conns.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -1089,28 +1112,31 @@ fn handle_events(stream: &mut TcpStream, job: &Arc<Job>, inner: &Arc<Inner>, tra
     let mut cursor = 0usize;
     let mut reported_drops = 0u64;
     loop {
-        let (lines, dropped, terminal) = job.events_since(cursor, Duration::from_millis(250));
+        let b = job.events_since(cursor, Duration::from_millis(250));
         let mut batch = String::new();
-        for line in &lines {
+        for line in &b.lines {
             batch.push_str(line);
             batch.push('\n');
         }
-        cursor += lines.len();
-        if dropped > reported_drops {
+        // Overflow drops are a running total; released lines are per batch.
+        let missing = b.dropped - reported_drops + b.released;
+        if missing > 0 {
             batch.push_str(
                 &Json::obj([
                     ("ev", Json::str("events_dropped")),
-                    ("count", Json::uint(dropped - reported_drops)),
+                    ("count", Json::uint(missing)),
                 ])
                 .to_string(),
             );
             batch.push('\n');
-            reported_drops = dropped;
+            reported_drops = b.dropped;
         }
         if w.chunk(batch.as_bytes()).is_err() {
             return; // client went away
         }
-        if (terminal && lines.is_empty()) || inner.shutdown.load(Ordering::SeqCst) {
+        let complete = b.terminal && b.next == cursor;
+        cursor = b.next;
+        if complete || inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
     }

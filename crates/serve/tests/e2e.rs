@@ -576,3 +576,120 @@ fn state_dir_recovers_results_and_requeues_unstarted_jobs() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `handle.shutdown()` on another thread; fails the test if it has not
+/// returned within `limit` (a shutdown that never wakes `accept` hangs).
+fn shutdown_within(handle: ServerHandle, limit: Duration) -> Duration {
+    let t = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("shutdown did not return within {limit:?}"));
+    t.elapsed()
+}
+
+#[test]
+fn idle_daemon_shuts_down_promptly_on_loopback_and_wildcard_binds() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, addr) = spawn(ServerConfig {
+            addr: bind.to_string(),
+            ..ServerConfig::default()
+        });
+        let local = SocketAddr::from(([127, 0, 0, 1], addr.port()));
+        assert_eq!(get(local, "/healthz").status, 200, "{bind} serves");
+        // The accept loop is now blocked in `accept` with nothing pending.
+        std::thread::sleep(Duration::from_millis(50));
+        let took = shutdown_within(handle, Duration::from_secs(10));
+        assert!(
+            took < Duration::from_secs(2),
+            "{bind}: shutdown took {took:?}"
+        );
+    }
+}
+
+#[test]
+fn connections_beyond_the_limit_get_503_and_the_daemon_recovers() {
+    let (handle, addr) = spawn(ServerConfig {
+        max_connections: 1,
+        read_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    });
+    // Hold the only connection slot: connected, request never sent.
+    let holder = TcpStream::connect(addr).unwrap();
+    let over = get(addr, "/healthz");
+    assert_eq!(over.status, 503, "{}", over.body);
+    assert!(over.body.contains("connection limit"), "{}", over.body);
+    // Closing the holder frees the slot.
+    drop(holder);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while get(addr, "/healthz").status != 200 {
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    shutdown_within(handle, Duration::from_secs(10));
+}
+
+/// Bytes of a job's telemetry lines as served by `/events`: every line but
+/// lifecycle, journal and drop markers.
+fn served_telemetry_bytes(addr: SocketAddr, id: &str) -> (usize, String) {
+    let ev = get(addr, &format!("/v1/campaigns/{id}/events"));
+    assert_eq!(ev.status, 200);
+    let bytes = ev
+        .body
+        .lines()
+        .filter(|l| {
+            !["job_state", "journal", "events_dropped"]
+                .iter()
+                .any(|k| l.contains(&format!("\"ev\":\"{k}\"")))
+        })
+        .map(str::len)
+        .sum();
+    (bytes, ev.body)
+}
+
+#[test]
+fn finished_jobs_hold_a_bounded_total_event_log() {
+    use hauberk_serve::jobs::FINISHED_TELEMETRY_BYTES;
+    let (handle, addr) = spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    // ~330 injections each, ~240 KB of telemetry: five exceed the budget.
+    let mut ids = Vec::new();
+    for seed in 0..6 {
+        let spec =
+            format!(r#"{{"program":"RPES","vars":12,"masks":24,"bit_counts":[1],"seed":{seed}}}"#);
+        let sub = post(addr, "/v1/campaigns", &spec);
+        assert_eq!(sub.status, 201, "{}", sub.body);
+        let id = sub.json_field("id");
+        assert_eq!(wait_terminal(addr, &id), "done");
+        ids.push(id);
+    }
+    let served: Vec<(usize, String)> = ids
+        .iter()
+        .map(|id| served_telemetry_bytes(addr, id))
+        .collect();
+    let total: usize = served.iter().map(|(b, _)| b).sum();
+    let (newest, _) = served.last().unwrap();
+    assert!(*newest > 0, "the newest job keeps its telemetry");
+    assert!(
+        total <= FINISHED_TELEMETRY_BYTES.max(*newest),
+        "finished jobs hold {total} bytes of telemetry"
+    );
+    // The oldest job was released: its stream says so and still carries
+    // its lifecycle.
+    let (oldest, body) = &served[0];
+    assert_eq!(*oldest, 0, "oldest job still holds telemetry");
+    assert!(body.contains("\"ev\":\"events_dropped\""), "{body}");
+    for state in ["queued", "running", "done"] {
+        assert!(body.contains(&format!("\"state\":\"{state}\"")), "{body}");
+    }
+    assert_eq!(
+        get(addr, &format!("/v1/campaigns/{}/result", ids[0])).status,
+        200
+    );
+    handle.shutdown();
+}

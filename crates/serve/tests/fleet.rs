@@ -539,3 +539,43 @@ fn worker_retry_after_propagates_through_the_coordinator() {
     coord.shutdown();
     worker.shutdown();
 }
+
+#[test]
+fn fleet_merge_holds_after_workers_released_finished_telemetry() {
+    let (wa, wa_addr) = spawn_worker();
+    let (wb, wb_addr) = spawn_worker();
+    // Finish enough jobs on each worker that its oldest job's telemetry is
+    // released (~240 KB per job against the 1 MiB budget).
+    for w in [wa_addr, wb_addr] {
+        let mut ids = Vec::new();
+        for seed in 0..6 {
+            let spec = format!(
+                r#"{{"program":"RPES","vars":12,"masks":24,"bit_counts":[1],"seed":{seed}}}"#
+            );
+            let sub = post(w, "/v1/campaigns", &spec);
+            assert_eq!(sub.status, 201, "{}", sub.body);
+            ids.push(sub.json_field("id"));
+        }
+        for id in &ids {
+            assert_eq!(wait_terminal(w, id), "done");
+        }
+        let oldest = get(w, &format!("/v1/campaigns/{}/events", ids[0]));
+        assert!(
+            oldest.body.contains("\"ev\":\"events_dropped\""),
+            "worker {w} released nothing"
+        );
+    }
+    // The journals of the new shard jobs still stream back whole.
+    let (coord, addr) = spawn(coordinator_cfg(&[wa_addr, wb_addr]));
+    let sub = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    assert_eq!(sub.status, 201, "{}", sub.body);
+    let id = sub.json_field("id");
+    assert_eq!(wait_terminal(addr, &id), "done");
+    let res = get(addr, &format!("/v1/campaigns/{id}/result"));
+    assert_eq!(res.body, in_process_summary(SMALL_CAMPAIGN));
+    assert_eq!(metric(wa_addr, "jobs_done"), 7, "worker A ran a shard");
+    assert_eq!(metric(wb_addr, "jobs_done"), 7, "worker B ran a shard");
+    coord.shutdown();
+    wa.shutdown();
+    wb.shutdown();
+}

@@ -8,17 +8,18 @@
 //! [`compile_cached`] is the campaign-scale entry point: SWIFI campaigns
 //! launch the *same* instrumented kernel thousands of times (once per
 //! injection, across rayon workers), so the translator output is compiled
-//! once and shared via `Arc`. The cache key is the **printed kernel text**
-//! plus the cost model's debug rendering — string equality, deliberately not
-//! a hash, so a collision can never silently execute the wrong program.
+//! once and shared via `Arc`. A lookup compares a cheap structural
+//! fingerprint first and confirms every hit with `KernelDef ==` and
+//! `CostModel ==`, so a fingerprint collision can never silently execute the
+//! wrong program — and a hit never pays for printing the kernel.
 
 use crate::config::CostModel;
 use crate::interp::{hook_cost, hook_kind_name};
 use hauberk_kir::lower::{lower_kernel, LoweredKernel};
-use hauberk_kir::printer::print_kernel;
 use hauberk_kir::KernelDef;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 /// Bytecode plus preresolved per-hook tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,29 +55,57 @@ pub fn compile(kernel: &KernelDef, cost: &CostModel) -> CompiledKernel {
 /// Cap on cached entries; property tests churn through thousands of generated
 /// kernels, and clearing wholesale is simpler (and rare enough) compared to
 /// an eviction policy.
-const CACHE_CAP: usize = 256;
+pub(crate) const CACHE_CAP: usize = 256;
 
-fn cache() -> &'static Mutex<HashMap<String, Arc<CompiledKernel>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<CompiledKernel>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// Structural fingerprint of a (kernel, cost model) pair: the kernel's name
+/// and shape (variable count, parameter count, shared memory, top-level
+/// statement count) plus every cost-model field. It costs a few
+/// nanoseconds; equal fingerprints are only candidates, confirmed by `==`.
+fn fingerprint(kernel: &KernelDef, cost: &CostModel) -> u64 {
+    let mut h = DefaultHasher::new();
+    kernel.name.hash(&mut h);
+    kernel.vars.len().hash(&mut h);
+    kernel.n_params.hash(&mut h);
+    kernel.shared_mem_bytes.hash(&mut h);
+    kernel.body.0.len().hash(&mut h);
+    cost.hash(&mut h);
+    h.finish()
+}
+
+struct CacheEntry {
+    fingerprint: u64,
+    kernel: KernelDef,
+    cost: CostModel,
+    compiled: Arc<CompiledKernel>,
 }
 
 /// Compile `kernel` through the process-wide build cache.
 ///
-/// Keyed by kernel text + cost model, so the same instrumented build is
-/// compiled once per campaign and shared across all rayon workers.
+/// Keyed by kernel structure + cost model, so the same instrumented build
+/// is compiled once per campaign and shared across all rayon workers. The
+/// lock is held across a miss's compilation, so concurrent launches of one
+/// kernel compile it once.
 pub fn compile_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<CompiledKernel> {
-    let key = format!("{:?}\u{0}{}", cost, print_kernel(kernel));
-    let mut map = hauberk_telemetry::lock_recover(cache());
-    if let Some(c) = map.get(&key) {
-        return Arc::clone(c);
+    static CACHE: Mutex<Vec<CacheEntry>> = Mutex::new(Vec::new());
+    let fp = fingerprint(kernel, cost);
+    let mut entries = hauberk_telemetry::lock_recover(&CACHE);
+    if let Some(e) = entries
+        .iter()
+        .find(|e| e.fingerprint == fp && e.cost == *cost && e.kernel == *kernel)
+    {
+        return Arc::clone(&e.compiled);
     }
-    if map.len() >= CACHE_CAP {
-        map.clear();
+    if entries.len() >= CACHE_CAP {
+        entries.clear();
     }
-    let c = Arc::new(compile(kernel, cost));
-    map.insert(key, Arc::clone(&c));
-    c
+    let compiled = Arc::new(compile(kernel, cost));
+    entries.push(CacheEntry {
+        fingerprint: fp,
+        kernel: kernel.clone(),
+        cost: cost.clone(),
+        compiled: Arc::clone(&compiled),
+    });
+    compiled
 }
 
 /// Disassemble `kernel` as the bytecode engine would execute it (the
@@ -119,6 +148,24 @@ mod tests {
             },
         );
         assert!(!Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn cache_keeps_same_named_kernels_apart_and_hits_on_clones() {
+        let k = tiny();
+        let mut other = KernelBuilder::new("tiny");
+        let out = other.param("out", Ty::global_ptr(PrimTy::F32));
+        other.store(Expr::var(out), Expr::i32(0), Expr::f32(2.0));
+        let other = other.finish();
+        assert_eq!(other.name, k.name);
+        let cost = CostModel::default();
+        assert_eq!(fingerprint(&k, &cost), fingerprint(&other, &cost));
+        let a = compile_cached(&k, &cost);
+        let b = compile_cached(&other, &cost);
+        assert!(!Arc::ptr_eq(&a, &b), "same fingerprint, different kernel");
+        assert_ne!(a.lowered, b.lowered);
+        assert!(Arc::ptr_eq(&a, &compile_cached(&k.clone(), &cost)));
+        assert!(Arc::ptr_eq(&b, &compile_cached(&other.clone(), &cost)));
     }
 
     #[test]

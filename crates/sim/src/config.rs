@@ -13,12 +13,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 ///   directly. Slow, obviously correct; the reference oracle.
 /// * [`Bytecode`](ExecEngine::Bytecode) runs flat register bytecode compiled
 ///   once per kernel (see `hauberk-kir::lower` and the `bytecode`/`vm`
-///   modules). The default for campaigns.
+///   modules). The per-op path batch regions fall back to.
 /// * [`Batch`](ExecEngine::Batch) runs the same bytecode with a batch plan:
 ///   full-mask straight-line regions execute as lane-blocked micro-ops with
 ///   precomputed cycle-charge tables (see `hauberk-kir::batch` and the
 ///   `vm_batch` module), falling back to the per-op VM at any
-///   divergence/barrier/atomic boundary. The fastest tier.
+///   divergence/barrier/atomic boundary. The fastest tier and the default
+///   for every campaign, daemon job and golden run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// The tree-walking reference interpreter.
@@ -68,12 +69,13 @@ impl std::fmt::Display for ExecEngine {
 
 /// Process-wide default engine for newly constructed [`DeviceConfig`]s
 /// (0 = tree-walk, 1 = bytecode, 2 = batch).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(1);
+static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(2);
 
 /// Set the process-wide default engine used by [`DeviceConfig::gpu`] /
-/// [`DeviceConfig::cpu`] (and everything built on them). Campaign binaries
-/// call this from their `--engine` flag; tests use it to force all engines
-/// through identical code paths.
+/// [`DeviceConfig::cpu`] (and everything built on them). `figures` calls
+/// this from its `--engine` flag; tests use it to force all engines through
+/// identical code paths. Campaigns pin their engine per run instead
+/// (`CampaignConfig::engine`).
 pub fn set_default_engine(e: ExecEngine) {
     DEFAULT_ENGINE.store(
         match e {
@@ -89,8 +91,8 @@ pub fn set_default_engine(e: ExecEngine) {
 pub fn default_engine() -> ExecEngine {
     match DEFAULT_ENGINE.load(Ordering::Relaxed) {
         0 => ExecEngine::TreeWalk,
-        2 => ExecEngine::Batch,
-        _ => ExecEngine::Bytecode,
+        1 => ExecEngine::Bytecode,
+        _ => ExecEngine::Batch,
     }
 }
 
@@ -112,7 +114,7 @@ pub fn default_engine() -> ExecEngine {
 ///   the same unit class and does not pair — the reason optimized full
 ///   duplication (R-Scatter) stays expensive on saturated GPU kernels while
 ///   Hauberk's cross-class XOR/counter instructions are nearly free.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CostModel {
     /// Integer ALU op cost.
     pub ialu: u64,

@@ -897,6 +897,7 @@ impl<'a> VmExec<'a> {
         let mut mask = entry_mask;
         let mut frames: Vec<Frame> = Vec::with_capacity(8);
         let batch = self.batch;
+        let regions = batch.map(|bk| (bk, bk.region_map(width)));
         loop {
             // Batch tier: at full mask, a region starting here executes as
             // one block (precomputed charges, lane-blocked data plane, tag
@@ -904,8 +905,8 @@ impl<'a> VmExec<'a> {
             // budget, in which case per-op dispatch below reproduces the
             // exact partial charges of the hang.
             if mask == full {
-                if let Some(bk) = batch {
-                    let ri = bk.region_at[pc];
+                if let Some((bk, region_at)) = regions {
+                    let ri = region_at[pc];
                     if ri != NO_REGION {
                         if let Some(next) = self.run_region(bk, ri) {
                             pc = next;

@@ -36,18 +36,16 @@
 //! breakers executed by the per-op path, and the region machinery resumes at
 //! the next op.
 
-use crate::bytecode::{compile_cached, CompiledKernel};
+use crate::bytecode::{compile_cached, CompiledKernel, CACHE_CAP};
 use crate::config::CostModel;
 use crate::interp::bin_class;
 use crate::stats::OpClass;
 use crate::vm::call_class;
 use hauberk_kir::batch::{is_charging, plan_batches, TagSrc};
 use hauberk_kir::lower::{LoweredKernel, Op};
-use hauberk_kir::printer::print_kernel;
 use hauberk_kir::{BinOp, KernelDef, MathFn, PrimTy, Ty, UnOp};
 use hauberk_telemetry::lock_recover;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no region starts at this pc" (mirrors
 /// `hauberk_kir::batch::NO_REGION`).
@@ -487,13 +485,29 @@ pub struct BatchKernel {
     /// Executable regions.
     pub(crate) regions: Vec<RegionExec>,
     /// `region_at[pc]`: region starting at `pc`, or [`NO_REGION`].
-    pub(crate) region_at: Vec<u32>,
+    region_at: Vec<u32>,
+    /// [`BatchKernel::region_at`] without the single-charge regions, for
+    /// warps narrower than one lane chunk (see [`BatchKernel::region_map`]).
+    narrow_region_at: Vec<u32>,
 }
 
 impl BatchKernel {
     /// Number of planned regions (diagnostics).
     pub fn n_regions(&self) -> usize {
         self.regions.len()
+    }
+
+    /// The region map for warps `width` lanes wide. A warp narrower than
+    /// one lane chunk has no lane loop to amortize a region's entry cost
+    /// (charge-table lookup, tag write-back) over, so there a region must
+    /// replace at least two charging ops to beat per-op dispatch; the
+    /// single-lane CPU programs run faster without the shorter ones.
+    pub(crate) fn region_map(&self, width: usize) -> &[u32] {
+        if width < CHUNK {
+            &self.narrow_region_at
+        } else {
+            &self.region_at
+        }
     }
 }
 
@@ -528,10 +542,19 @@ pub(crate) fn build_batch(lowered: &LoweredKernel, cost: &CostModel) -> BatchKer
                 table,
             }
         })
+        .collect::<Vec<RegionExec>>();
+    let narrow_region_at = plan
+        .region_at
+        .iter()
+        .map(|&ri| match regions.get(ri as usize) {
+            Some(r) if r.n_charges < 2 => NO_REGION,
+            _ => ri,
+        })
         .collect();
     BatchKernel {
         regions,
         region_at: plan.region_at,
+        narrow_region_at,
     }
 }
 
@@ -553,28 +576,23 @@ pub fn compile_batch(kernel: &KernelDef, cost: &CostModel) -> BatchCompiled {
     BatchCompiled { compiled, batch }
 }
 
-/// Cap on cached batch compilations (mirrors the bytecode build cache).
-const CACHE_CAP: usize = 256;
-
-fn cache() -> &'static Mutex<HashMap<String, Arc<BatchCompiled>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<BatchCompiled>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Compile `kernel` for the batch engine through the process-wide cache
-/// (keyed like [`compile_cached`]: kernel text + cost model).
+/// Compile `kernel` for the batch engine through the process-wide cache.
+/// A batch plan is keyed by the bytecode compilation it extends, so a hit
+/// costs one [`compile_cached`] lookup plus a pointer comparison.
 pub fn compile_batch_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<BatchCompiled> {
-    let key = format!("{:?}\u{0}{}", cost, print_kernel(kernel));
-    let mut map = lock_recover(cache());
-    if let Some(c) = map.get(&key) {
-        return Arc::clone(c);
+    static CACHE: Mutex<Vec<Arc<BatchCompiled>>> = Mutex::new(Vec::new());
+    let compiled = compile_cached(kernel, cost);
+    let mut entries = lock_recover(&CACHE);
+    if let Some(b) = entries.iter().find(|b| Arc::ptr_eq(&b.compiled, &compiled)) {
+        return Arc::clone(b);
     }
-    if map.len() >= CACHE_CAP {
-        map.clear();
+    if entries.len() >= CACHE_CAP {
+        entries.clear();
     }
-    let c = Arc::new(compile_batch(kernel, cost));
-    map.insert(key, Arc::clone(&c));
-    c
+    let batch = build_batch(&compiled.lowered, cost);
+    let b = Arc::new(BatchCompiled { compiled, batch });
+    entries.push(Arc::clone(&b));
+    b
 }
 
 // -- data plane --------------------------------------------------------------
@@ -905,15 +923,49 @@ mod tests {
     }
 
     #[test]
+    fn narrow_warps_keep_only_multi_charge_regions() {
+        let k = hauberk_kir::parser::parse_kernel(
+            "kernel k(out: *global i32, n: i32) {
+                let j: i32 = n;
+                while (j > 0) { j = j - 1; }
+                store(out, 0, j * 3 + n * 5);
+            }",
+        )
+        .unwrap();
+        let bk = compile_batch(&k, &CostModel::default()).batch;
+        let (wide, narrow) = (bk.region_map(32), bk.region_map(1));
+        assert_eq!(bk.region_map(CHUNK), wide);
+        let charges = |ri: u32| bk.regions[ri as usize].n_charges;
+        let planned: Vec<u32> = wide.iter().copied().filter(|&r| r != NO_REGION).collect();
+        assert!(
+            planned.iter().any(|&r| charges(r) == 1),
+            "no single-charge region"
+        );
+        assert!(
+            planned.iter().any(|&r| charges(r) >= 2),
+            "no multi-charge region"
+        );
+        for (&w, &n) in wide.iter().zip(narrow) {
+            let keep = w != NO_REGION && charges(w) >= 2;
+            assert_eq!(n, if keep { w } else { NO_REGION });
+        }
+    }
+
+    #[test]
     fn batch_cache_shares_compilations() {
-        let mut b = KernelBuilder::new("cache-probe");
-        let out = b.param("out", Ty::global_ptr(P::F32));
-        b.store(Expr::var(out), Expr::i32(0), Expr::f32(4.0));
-        let k = b.finish();
+        let probe = |v: f32| {
+            let mut b = KernelBuilder::new("cache-probe");
+            let out = b.param("out", Ty::global_ptr(P::F32));
+            b.store(Expr::var(out), Expr::i32(0), Expr::f32(v));
+            b.finish()
+        };
+        let (k, other) = (probe(4.0), probe(5.0));
         let cost = CostModel::default();
         let a = compile_batch_cached(&k, &cost);
-        let b2 = compile_batch_cached(&k, &cost);
-        assert!(Arc::ptr_eq(&a, &b2));
+        assert!(Arc::ptr_eq(&a, &compile_batch_cached(&k.clone(), &cost)));
+        assert!(Arc::ptr_eq(&a.compiled, &compile_cached(&k, &cost)));
+        let b = compile_batch_cached(&other, &cost);
+        assert!(!Arc::ptr_eq(&a, &b), "same name, different kernel");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::profile::PhaseAcc;
 use hauberk::builds::{build, build_selected, BuildVariant, FtOptions, Instrumented};
 use hauberk::control::{ControlBlock, NON_LOOP_DETECTOR};
 use hauberk::program::CorrectnessSpec;
-use hauberk::program::{golden_run, run_program, run_program_with_engine, HostProgram};
+use hauberk::program::{golden_run_with_engine, run_program_with_engine, HostProgram};
 use hauberk::ranges::{profile_ranges, RangeSet};
 use hauberk::runtime::{FiFtRuntime, FiRuntime, ProfilerRuntime};
 use hauberk::translator::select::HardeningSelection;
@@ -53,9 +53,10 @@ pub struct CampaignConfig {
     /// start/finish, one `injection_run` per experiment, kernel spans,
     /// fault deliveries, detector alarms).
     pub trace_path: Option<PathBuf>,
-    /// Execution engine for the injection runs (`None` = the process-wide
-    /// default). The differential suite runs the same campaign under both
-    /// engines and asserts identical outcome tallies.
+    /// Execution engine for the whole campaign: golden run, profiling,
+    /// checkpoint capture and injections (`None` = the process-wide
+    /// default). The differential suite runs the same campaign under every
+    /// engine and asserts identical outcome tallies.
     pub engine: Option<hauberk_sim::ExecEngine>,
     /// Selective detector placement for coverage campaigns (`None` = full
     /// protection, the classic behavior). The profiler and FI&FT builds are
@@ -144,12 +145,31 @@ pub fn profile_program(
     profiler_build: &Instrumented,
     datasets: &[u64],
 ) -> (Vec<RangeSet>, ProfilerRuntime) {
+    profile_program_with_engine(prog, profiler_build, datasets, None)
+}
+
+/// [`profile_program`] on an explicit engine (`None` = the device default),
+/// so a campaign profiles on the engine its injections use.
+pub fn profile_program_with_engine(
+    prog: &dyn HostProgram,
+    profiler_build: &Instrumented,
+    datasets: &[u64],
+    engine: Option<hauberk_sim::ExecEngine>,
+) -> (Vec<RangeSet>, ProfilerRuntime) {
     let n_det = profiler_build.detectors.len();
     let mut merged: Vec<RangeSet> = vec![RangeSet::default(); n_det];
     let mut last_pr = ProfilerRuntime::default();
     for &ds in datasets {
         let mut pr = ProfilerRuntime::default();
-        let run = run_program(prog, &profiler_build.kernel, ds, &mut pr, u64::MAX);
+        let run = run_program_with_engine(
+            prog,
+            &profiler_build.kernel,
+            ds,
+            &mut pr,
+            u64::MAX,
+            &Telemetry::disabled(),
+            engine,
+        );
         assert!(
             run.outcome.is_completed(),
             "profiling run of `{}` dataset {ds} must complete: {:?}",
@@ -374,13 +394,14 @@ pub(crate) fn prepare_campaign(
     cfg: &CampaignConfig,
 ) -> CampaignEnv {
     let base = prog.build_kernel();
-    let (golden, golden_cycles) = golden_run(prog, cfg.dataset);
+    let (golden, golden_cycles) = golden_run_with_engine(prog, cfg.dataset, cfg.engine);
     let budget = watchdog_budget(golden_cycles, cfg.watchdog_factor);
     match kind {
         CampaignKind::Sensitivity => {
             let profiler_build =
                 build(&base, BuildVariant::Profiler(FtOptions::default())).expect("profiler build");
-            let (_, pr) = profile_program(prog, &profiler_build, &[cfg.dataset]);
+            let (_, pr) =
+                profile_program_with_engine(prog, &profiler_build, &[cfg.dataset], cfg.engine);
             let fi_build = build(&base, BuildVariant::Fi).expect("FI build");
             let mut rng = SmallRng::seed_from_u64(cfg.seed);
             let plans = plan_campaign(&fi_build.fi, &pr, &cfg.plan, &mut rng);
@@ -412,7 +433,8 @@ pub(crate) fn prepare_campaign(
             if *train.last().expect("nonempty") != cfg.dataset {
                 train.push(cfg.dataset);
             }
-            let (mut ranges, pr) = profile_program(prog, &profiler_build, &train);
+            let (mut ranges, pr) =
+                profile_program_with_engine(prog, &profiler_build, &train, cfg.engine);
             if cfg.alpha > 1.0 {
                 for r in &mut ranges {
                     *r = r.apply_alpha(cfg.alpha);

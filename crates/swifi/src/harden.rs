@@ -37,7 +37,9 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use crate::campaign::{prepare_campaign, profile_program, CampaignConfig, CampaignKind};
+use crate::campaign::{
+    prepare_campaign, profile_program_with_engine, CampaignConfig, CampaignKind,
+};
 use crate::classify::FiOutcome;
 use crate::journal::RecordedInjection;
 use crate::orchestrator::{fingerprint_plans, run_orchestrated_campaign, OrchestratorConfig};
@@ -45,12 +47,13 @@ use crate::plan::InjectionPlan;
 use crate::sampler::wilson_interval;
 use hauberk::builds::{build_selected, BuildVariant, FtOptions};
 use hauberk::control::ControlBlock;
-use hauberk::program::{run_program, HostProgram};
+use hauberk::program::{run_program_with_engine, HostProgram};
 use hauberk::runtime::FtRuntime;
 use hauberk::translator::select::{HardeningPlan, HardeningSelection};
 use hauberk_kir::stmt::LoopId;
 use hauberk_sim::{FaultSite, LaunchOutcome};
 use hauberk_telemetry::json::Json;
+use hauberk_telemetry::Telemetry;
 
 /// The z-score of the 95% Wilson interval used for vulnerability ranking.
 const RANK_Z: f64 = 1.96;
@@ -371,9 +374,17 @@ fn attribute(
 fn baseline_kernel_cycles(
     prog: &dyn HostProgram,
     base: &hauberk_kir::KernelDef,
-    dataset: u64,
+    cfg: &CampaignConfig,
 ) -> Result<u64, String> {
-    let run = run_program(prog, base, dataset, &mut hauberk_sim::NullRuntime, u64::MAX);
+    let run = run_program_with_engine(
+        prog,
+        base,
+        cfg.dataset,
+        &mut hauberk_sim::NullRuntime,
+        u64::MAX,
+        &Telemetry::disabled(),
+        cfg.engine,
+    );
     match run.outcome {
         LaunchOutcome::Completed(s) => Ok(s.kernel_cycles),
         other => Err(format!(
@@ -426,7 +437,12 @@ fn ft_fault_free_stats(
 ) -> Result<hauberk_sim::ExecStats, String> {
     let profiler = build_selected(base, BuildVariant::Profiler(cfg.ft), sel)
         .map_err(|e| format!("profiler build: {e}"))?;
-    let (mut ranges, _) = profile_program(prog, &profiler, &train_sets(&cfg.campaign));
+    let (mut ranges, _) = profile_program_with_engine(
+        prog,
+        &profiler,
+        &train_sets(&cfg.campaign),
+        cfg.campaign.engine,
+    );
     if cfg.campaign.alpha > 1.0 {
         for r in &mut ranges {
             *r = r.apply_alpha(cfg.campaign.alpha);
@@ -437,7 +453,15 @@ fn ft_fault_free_stats(
     let det_vars = ft.detectors.iter().map(|d| d.var_name.clone()).collect();
     let cb = ControlBlock::with_ranges(ranges).with_detector_vars(det_vars);
     let mut rt = FtRuntime::new(cb);
-    let run = run_program(prog, &ft.kernel, cfg.campaign.dataset, &mut rt, u64::MAX);
+    let run = run_program_with_engine(
+        prog,
+        &ft.kernel,
+        cfg.campaign.dataset,
+        &mut rt,
+        u64::MAX,
+        &Telemetry::disabled(),
+        cfg.campaign.engine,
+    );
     let LaunchOutcome::Completed(stats) = run.outcome else {
         return Err(format!(
             "fault-free FT run of `{}` did not complete: {:?}",
@@ -548,7 +572,7 @@ fn prefix_selection(candidates: &[RankedCandidate], k: usize) -> HardeningSelect
 /// for the five stages. Deterministic for a fixed config.
 pub fn harden(prog: &dyn HostProgram, cfg: &HardenConfig) -> Result<HardenReport, String> {
     let base = prog.build_kernel();
-    let golden_cycles = baseline_kernel_cycles(prog, &base, cfg.campaign.dataset)?;
+    let golden_cycles = baseline_kernel_cycles(prog, &base, &cfg.campaign)?;
 
     // Candidate enumeration from the full-protection build: NL candidates
     // are variables with at least one non-loop injection site (parameters
@@ -594,7 +618,12 @@ pub fn harden(prog: &dyn HostProgram, cfg: &HardenConfig) -> Result<HardenReport
     // candidate, the total executions of the injection sites it watches.
     let profiler = build_selected(&base, BuildVariant::Profiler(cfg.ft), None)
         .map_err(|e| format!("profiler build: {e}"))?;
-    let (_, pr) = profile_program(prog, &profiler, &[cfg.campaign.dataset]);
+    let (_, pr) = profile_program_with_engine(
+        prog,
+        &profiler,
+        &[cfg.campaign.dataset],
+        cfg.campaign.engine,
+    );
     let mut exposure: BTreeMap<CandidateKey, f64> = BTreeMap::new();
     for key @ (kind, loop_id, var) in tallies.keys() {
         let execs: u64 = match kind {
@@ -870,7 +899,7 @@ pub fn evaluate_placement(
         ));
     }
     let base = prog.build_kernel();
-    let golden_cycles = baseline_kernel_cycles(prog, &base, cfg.campaign.dataset)?;
+    let golden_cycles = baseline_kernel_cycles(prog, &base, &cfg.campaign)?;
     let overhead_cycles = measure_overhead(prog, &base, cfg, &plan.selection, golden_cycles)?;
     let (coverage, sdc_ratio) = measure_coverage(prog, cfg, &plan.selection)?;
     Ok(ParetoPoint {

@@ -10,6 +10,7 @@
 use crate::mask::random_mask;
 use hauberk::runtime::ProfilerRuntime;
 use hauberk::translator::FiMap;
+use hauberk_kir::stmt::SiteId;
 use hauberk_kir::types::DataClass;
 use hauberk_kir::HwComponent;
 use hauberk_sim::fault::{ArmedFault, FaultSite};
@@ -70,10 +71,19 @@ pub fn plan_campaign(
     cfg: &PlanConfig,
     rng: &mut impl Rng,
 ) -> Vec<InjectionPlan> {
+    // A site's `(site, thread, count)` records, in thread order. Every
+    // recorded count is at least 1, so a site executed iff it has records.
+    let execs = profile.sorted_execs();
+    let threads_of = |site: SiteId| {
+        let lo = execs.partition_point(|e| e.0 < site);
+        let hi = execs.partition_point(|e| e.0 <= site);
+        &execs[lo..hi]
+    };
+
     // Group executed sites by variable.
     let mut vars: Vec<(&str, Vec<usize>)> = Vec::new();
     for (i, site) in fi.sites.iter().enumerate() {
-        if profile.total_execs(site.site) == 0 {
+        if threads_of(site.site).is_empty() {
             continue;
         }
         match vars.iter_mut().find(|(n, _)| *n == site.var_name.as_str()) {
@@ -91,8 +101,8 @@ pub fn plan_campaign(
             let mask = random_mask(rng, bits);
             let si = site_idxs[rng.gen_range(0..site_idxs.len())];
             let site = &fi.sites[si];
-            let threads = profile.threads_of(site.site);
-            let (thread, count) = threads[rng.gen_range(0..threads.len())];
+            let threads = threads_of(site.site);
+            let (_, thread, count) = threads[rng.gen_range(0..threads.len())];
             let occurrence = rng.gen_range(1..=count);
             plans.push(InjectionPlan {
                 fault: ArmedFault {
@@ -115,12 +125,12 @@ pub fn plan_campaign(
         for i in 0..n_reg {
             let victim = &fi.sites[rng.gen_range(0..fi.sites.len())];
             let trigger = &fi.sites[rng.gen_range(0..fi.sites.len())];
-            if profile.total_execs(trigger.site) == 0 {
+            let threads = threads_of(trigger.site);
+            if threads.is_empty() {
                 continue;
             }
             let bits = cfg.bit_counts[i % cfg.bit_counts.len()];
-            let threads = profile.threads_of(trigger.site);
-            let (thread, count) = threads[rng.gen_range(0..threads.len())];
+            let (_, thread, count) = threads[rng.gen_range(0..threads.len())];
             plans.push(InjectionPlan {
                 fault: ArmedFault {
                     site: FaultSite::RegisterLive {
@@ -146,8 +156,8 @@ pub fn plan_campaign(
             let mut t: Vec<u32> = fi
                 .sites
                 .iter()
-                .flat_map(|s| profile.threads_of(s.site))
-                .map(|(t, _)| t)
+                .flat_map(|s| threads_of(s.site))
+                .map(|&(_, t, _)| t)
                 .collect();
             t.sort_unstable();
             t.dedup();

@@ -62,7 +62,7 @@ fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
         }
     }
     // Restore the process-wide defaults for any test run after this one.
-    set_default_engine(ExecEngine::Bytecode);
+    set_default_engine(ExecEngine::Batch);
     rayon::set_thread_count(0);
 
     // Translator round-trip: rebuilding under the emitted plan instruments
