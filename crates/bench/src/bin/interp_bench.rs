@@ -8,17 +8,24 @@
 //! `ExecStats` and identical output memory — a cheap standing differential
 //! check in addition to the property suite.
 //!
+//! The hook-runtime layer gets the same treatment: for every suite program
+//! it times a fault-free launch of the FI build on the batch engine under
+//! `FiRuntime::new(None)` against `NullRuntime` (asserting identical stats
+//! and output), and records the ratio as `fi_over_null`.
+//!
 //! ```text
 //! interp_bench [--iters N] [--out PATH]
 //! ```
 
+use hauberk::builds::{build, BuildVariant};
 use hauberk::program::HostProgram;
+use hauberk::runtime::FiRuntime;
 use hauberk_bench::cli::process_args;
 use hauberk_benchmarks::{all_programs, ProblemScale};
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
 use hauberk_kir::{PrimTy, Value};
-use hauberk_sim::{Device, DeviceConfig, ExecEngine, ExecStats, Launch, NullRuntime};
+use hauberk_sim::{Device, DeviceConfig, ExecEngine, ExecStats, HookRuntime, Launch, NullRuntime};
 use hauberk_telemetry::json::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -50,22 +57,22 @@ fn one_launch(kernel: &KernelDef, engine: ExecEngine) -> (ExecStats, Vec<f32>) {
 /// averages over tens of calls.
 const PROGRAM_ROUND: Duration = Duration::from_millis(40);
 
-/// Fastest mean ns per call of each engine over [`ROUNDS`] rounds. Within a
-/// round the engines take turns call by call (so they share any machine
-/// drift) for at least `per_round` turns, and until one engine has spent
-/// `min_round`.
-fn best_of_rounds(
+/// Fastest mean ns per call of each of `N` contenders (an engine, or a hook
+/// runtime) over [`ROUNDS`] rounds. Within a round the contenders take turns
+/// call by call (so they share any machine drift) for at least `per_round`
+/// turns, and until one contender has spent `min_round`.
+fn best_of_rounds<const N: usize>(
     per_round: u32,
     min_round: Duration,
-    mut timed: impl FnMut(ExecEngine) -> Duration,
-) -> [f64; 3] {
-    let mut best = [f64::INFINITY; ENGINES.len()];
+    mut timed: impl FnMut(usize) -> Duration,
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
     for _ in 0..ROUNDS {
-        let mut total = [Duration::ZERO; ENGINES.len()];
+        let mut total = [Duration::ZERO; N];
         let mut calls = 0u32;
         while calls < per_round.max(1) || total.iter().all(|&t| t < min_round) {
-            for (i, &e) in ENGINES.iter().enumerate() {
-                total[i] += timed(e);
+            for (i, t) in total.iter_mut().enumerate() {
+                *t += timed(i);
             }
             calls += 1;
         }
@@ -76,12 +83,14 @@ fn best_of_rounds(
     best
 }
 
-/// One fault-free launch of `prog`'s baseline kernel on `engine`: the
-/// launch's wall time (setup and read-back excluded), stats and output.
+/// One fault-free launch of `kernel` (a build of `prog`) on `engine` under
+/// `runtime`: the launch's wall time (setup and read-back excluded), stats
+/// and output.
 fn program_launch(
     prog: &dyn HostProgram,
     kernel: &KernelDef,
     engine: ExecEngine,
+    runtime: &mut dyn HookRuntime,
 ) -> (Duration, ExecStats, Vec<u64>) {
     let mut config = prog.device_config();
     config.engine = engine;
@@ -89,7 +98,7 @@ fn program_launch(
     let args = prog.setup(&mut dev, 0);
     let launch = prog.launch();
     let t = Instant::now();
-    let r = black_box(dev.launch(kernel, &args, &launch, &mut NullRuntime));
+    let r = black_box(dev.launch(kernel, &args, &launch, runtime));
     let elapsed = t.elapsed();
     let stats = r.completed_stats().expect("suite launch completes").clone();
     let out = prog
@@ -111,26 +120,57 @@ fn per_engine(values: &[f64; 3]) -> Json {
     )
 }
 
-/// Time every suite program on every engine; returns the ledger rows and
-/// the smallest batch-over-bytecode speedup.
+/// Cost of the FI hook runtime with no armed fault (what every injection of
+/// a campaign pays outside its one armed point) on a fault-free launch of
+/// `prog`'s FI build on the batch engine: `[null_ns, fi_ns]` per launch.
+/// Both runtimes must leave identical stats and output.
+fn fi_runtime_cost(prog: &dyn HostProgram, kernel: &KernelDef) -> [f64; 2] {
+    let fi = build(kernel, BuildVariant::Fi).expect("FI build").kernel;
+    let launch = |i: usize| {
+        let mut null = NullRuntime;
+        let mut fi_rt = FiRuntime::new(None);
+        let rt: &mut dyn HookRuntime = if i == 0 { &mut null } else { &mut fi_rt };
+        program_launch(prog, &fi, ExecEngine::Batch, rt)
+    };
+    let (_, null_stats, null_out) = launch(0);
+    let (_, fi_stats, fi_out) = launch(1);
+    assert_eq!(
+        null_stats,
+        fi_stats,
+        "{}: FI runtime stats diverge",
+        prog.name()
+    );
+    assert_eq!(
+        null_out,
+        fi_out,
+        "{}: FI runtime output diverges",
+        prog.name()
+    );
+    best_of_rounds(1, PROGRAM_ROUND, |i| launch(i).0)
+}
+
+/// Time every suite program on every engine, and its FI build under the FI
+/// runtime; returns the ledger rows and the smallest batch-over-bytecode
+/// speedup.
 fn suite_matrix() -> (Json, f64) {
     let mut rows = Vec::new();
     let mut worst = f64::INFINITY;
     for prog in all_programs(ProblemScale::Quick) {
         let kernel = prog.build_kernel();
-        let (_, ref_stats, ref_out) = program_launch(prog.as_ref(), &kernel, ENGINES[0]);
+        let run = |e: ExecEngine| program_launch(prog.as_ref(), &kernel, e, &mut NullRuntime);
+        let (_, ref_stats, ref_out) = run(ENGINES[0]);
         for &e in &ENGINES[1..] {
-            let (_, stats, out) = program_launch(prog.as_ref(), &kernel, e);
+            let (_, stats, out) = run(e);
             assert_eq!(ref_stats, stats, "{}: {e} stats diverge", prog.name());
             assert_eq!(ref_out, out, "{}: {e} output diverges", prog.name());
         }
-        let best = best_of_rounds(1, PROGRAM_ROUND, |e| {
-            program_launch(prog.as_ref(), &kernel, e).0
-        });
+        let best: [f64; 3] = best_of_rounds(1, PROGRAM_ROUND, |i| run(ENGINES[i]).0);
         let speedup = best[1] / best[2];
         worst = worst.min(speedup);
+        let [null_ns, fi_ns] = fi_runtime_cost(prog.as_ref(), &kernel);
+        let fi_over_null = fi_ns / null_ns;
         eprintln!(
-            "{:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms  batch/bytecode {speedup:>5.2}x",
+            "{:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms  batch/bytecode {speedup:>5.2}x  FI/null {fi_over_null:>5.2}x",
             prog.name(),
             best[0] / 1e6,
             best[1] / 1e6,
@@ -141,6 +181,14 @@ fn suite_matrix() -> (Json, f64) {
             Json::obj([
                 ("ms_per_launch", per_engine(&best.map(|ns| ns / 1e6))),
                 ("batch_over_bytecode", Json::Num(speedup)),
+                (
+                    "fi_build_ms_per_launch",
+                    Json::obj([
+                        ("null", Json::Num(null_ns / 1e6)),
+                        ("fi", Json::Num(fi_ns / 1e6)),
+                    ]),
+                ),
+                ("fi_over_null", Json::Num(fi_over_null)),
             ]),
         ));
     }
@@ -178,9 +226,9 @@ fn main() {
         assert_eq!(ref_out, out, "{} output diverges from reference", e.name());
     }
 
-    let best = best_of_rounds(iters / ROUNDS, Duration::ZERO, |e| {
+    let best: [f64; 3] = best_of_rounds(iters / ROUNDS, Duration::ZERO, |i| {
         let t = Instant::now();
-        black_box(one_launch(&kernel, e));
+        black_box(one_launch(&kernel, ENGINES[i]));
         t.elapsed()
     });
     for (i, &e) in ENGINES.iter().enumerate() {

@@ -62,14 +62,12 @@ impl HookRuntime for ProfilerRuntime {
         match &hook.kind {
             HookKind::Profile { detector } => {
                 let samples = self.detector_samples.entry(*detector).or_default();
-                let lanes: Vec<u32> = ctx.active_lanes().collect();
-                for lane in lanes {
+                for lane in ctx.active_lanes() {
                     samples.push(ctx.args[0][lane as usize].as_numeric_f64());
                 }
             }
             HookKind::CountExec => {
-                let lanes: Vec<u32> = ctx.active_lanes().collect();
-                for lane in lanes {
+                for lane in ctx.active_lanes() {
                     let t = ctx.thread_of(lane);
                     *self.exec_counts.entry((hook.site, t)).or_insert(0) += 1;
                     if let Some(target) = ctx.target.as_deref() {
@@ -82,6 +80,14 @@ impl HookRuntime for ProfilerRuntime {
             }
             _ => {}
         }
+    }
+
+    fn observes_hook(&self, hook: &Hook) -> bool {
+        matches!(hook.kind, HookKind::Profile { .. } | HookKind::CountExec)
+    }
+
+    fn observes_loop(&self, _loop_id: LoopId) -> bool {
+        false
     }
 }
 
@@ -123,6 +129,31 @@ impl HookRuntime for FtRuntime {
             &mut self.first_alarm_cycle,
         );
     }
+
+    fn observes_hook(&self, hook: &Hook) -> bool {
+        is_ft_kind(&hook.kind)
+    }
+
+    fn observes_loop(&self, _loop_id: LoopId) -> bool {
+        false
+    }
+}
+
+/// Whether `kind` is one of the FT library's checks ([`ft_dispatch`] acts
+/// on exactly these).
+fn is_ft_kind(kind: &HookKind) -> bool {
+    matches!(
+        kind,
+        HookKind::CheckRange { .. }
+            | HookKind::CheckEqual { .. }
+            | HookKind::ChecksumCheck
+            | HookKind::NlMismatch
+    )
+}
+
+/// Whether `arm` can act at `hook`: an FI point at the armed hook site.
+fn arm_observes(arm: &FaultArm, hook: &Hook) -> bool {
+    matches!(hook.kind, HookKind::FiPoint { .. }) && arm.arms_hook(hook.site)
 }
 
 /// Record an alarm; stamp the first-alarm cycle and emit one
@@ -166,8 +197,7 @@ fn ft_dispatch(
     match &hook.kind {
         HookKind::CheckRange { detector } => {
             let det = *detector as usize;
-            let lanes: Vec<u32> = ctx.active_lanes().collect();
-            for lane in lanes {
+            for lane in ctx.active_lanes() {
                 let v = ctx.args[0][lane as usize].as_numeric_f64();
                 let inside = cb.ranges.get(det).map(|r| r.contains(v)).unwrap_or(false);
                 if !inside {
@@ -186,8 +216,7 @@ fn ft_dispatch(
         }
         HookKind::CheckEqual { detector } => {
             let det = *detector as usize;
-            let lanes: Vec<u32> = ctx.active_lanes().collect();
-            for lane in lanes {
+            for lane in ctx.active_lanes() {
                 let a = ctx.args[0][lane as usize].as_numeric_f64();
                 let b = ctx.args[1][lane as usize].as_numeric_f64();
                 if a != b {
@@ -204,8 +233,7 @@ fn ft_dispatch(
             }
         }
         HookKind::ChecksumCheck => {
-            let lanes: Vec<u32> = ctx.active_lanes().collect();
-            for lane in lanes {
+            for lane in ctx.active_lanes() {
                 let chk = ctx.args[0][lane as usize].to_bits();
                 if chk != 0 {
                     raise_traced(
@@ -268,8 +296,9 @@ pub struct FiRuntime {
     pub tele: Telemetry,
     /// Work-cycle timestamp of fault delivery, if it was delivered.
     pub delivered_cycle: Option<u64>,
-    /// Cycle stamp of the most recent hook dispatch — the delivery time of a
-    /// register-file corruption, which is polled right after `on_hook`.
+    /// Cycle stamp of the most recent dispatch of the armed hook site — the
+    /// delivery time of a register-file corruption, which is polled right
+    /// after `on_hook` and can only fire there.
     last_hook_cycles: u64,
 }
 
@@ -291,8 +320,8 @@ impl FiRuntime {
 
 impl HookRuntime for FiRuntime {
     fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx<'_>) {
-        self.last_hook_cycles = ctx.cycles;
-        if matches!(hook.kind, HookKind::FiPoint { .. }) {
+        if arm_observes(&self.arm, hook) {
+            self.last_hook_cycles = ctx.cycles;
             let was = self.arm.delivered();
             self.arm.at_hook(hook.site, ctx);
             trace_delivery(
@@ -317,13 +346,24 @@ impl HookRuntime for FiRuntime {
         );
     }
 
+    /// Only FI points at the armed site: one injection arms one (site,
+    /// thread, occurrence), so every other hook is a no-op. With no armed
+    /// fault nothing is observed.
+    fn observes_hook(&self, hook: &Hook) -> bool {
+        arm_observes(&self.arm, hook)
+    }
+
+    fn observes_loop(&self, loop_id: LoopId) -> bool {
+        self.arm.arms_loop(loop_id)
+    }
+
     fn register_corruption(
         &mut self,
         hook: &Hook,
         first_thread: u32,
         active: u32,
     ) -> Option<hauberk_sim::RegCorruption> {
-        if !matches!(hook.kind, HookKind::FiPoint { .. }) {
+        if !arm_observes(&self.arm, hook) {
             return None;
         }
         let was = self.arm.delivered();
@@ -363,7 +403,8 @@ pub struct FiFtRuntime {
     pub delivered_cycle: Option<u64>,
     /// Work-cycle timestamp of the first alarm this run, if any.
     pub first_alarm_cycle: Option<u64>,
-    /// Cycle stamp of the most recent hook dispatch (see [`FiRuntime`]).
+    /// Cycle stamp of the most recent dispatch of the armed hook site (see
+    /// [`FiRuntime`]).
     last_hook_cycles: u64,
 }
 
@@ -397,26 +438,25 @@ impl FiFtRuntime {
 
 impl HookRuntime for FiFtRuntime {
     fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx<'_>) {
-        self.last_hook_cycles = ctx.cycles;
-        match hook.kind {
-            HookKind::FiPoint { .. } => {
-                let was = self.arm.delivered();
-                self.arm.at_hook(hook.site, ctx);
-                trace_delivery(
-                    &self.arm,
-                    was,
-                    ctx.cycles,
-                    &self.tele,
-                    &mut self.delivered_cycle,
-                );
-            }
-            _ => ft_dispatch(
+        if arm_observes(&self.arm, hook) {
+            self.last_hook_cycles = ctx.cycles;
+            let was = self.arm.delivered();
+            self.arm.at_hook(hook.site, ctx);
+            trace_delivery(
+                &self.arm,
+                was,
+                ctx.cycles,
+                &self.tele,
+                &mut self.delivered_cycle,
+            );
+        } else {
+            ft_dispatch(
                 &mut self.cb,
                 hook,
                 ctx,
                 &self.tele,
                 &mut self.first_alarm_cycle,
-            ),
+            );
         }
     }
 
@@ -432,13 +472,22 @@ impl HookRuntime for FiFtRuntime {
         );
     }
 
+    /// The armed FI site (see [`FiRuntime`]) plus every FT check.
+    fn observes_hook(&self, hook: &Hook) -> bool {
+        is_ft_kind(&hook.kind) || arm_observes(&self.arm, hook)
+    }
+
+    fn observes_loop(&self, loop_id: LoopId) -> bool {
+        self.arm.arms_loop(loop_id)
+    }
+
     fn register_corruption(
         &mut self,
         hook: &Hook,
         first_thread: u32,
         active: u32,
     ) -> Option<hauberk_sim::RegCorruption> {
-        if !matches!(hook.kind, HookKind::FiPoint { .. }) {
+        if !arm_observes(&self.arm, hook) {
             return None;
         }
         let was = self.arm.delivered();
@@ -473,7 +522,9 @@ impl HookRuntime for FiFtRuntime {
 mod tests {
     use super::*;
     use crate::ranges::profile_ranges;
-    use hauberk_kir::Value;
+    use hauberk_kir::{HwComponent, Value};
+    use hauberk_sim::fault::FaultSite;
+    use hauberk_sim::NullRuntime;
 
     fn mk_ctx<'a>(args: &'a [Vec<Value>]) -> HookCtx<'a> {
         HookCtx {
@@ -595,5 +646,164 @@ mod tests {
         assert_eq!(pr.total_execs(9), 1);
         assert_eq!(pr.sorted_execs(), vec![(9, 3, 1)]);
         assert_eq!(pr.site_samples[&9], vec![42.0]);
+    }
+
+    /// The state the interest-filter contract pins, per runtime: the arm's
+    /// delivered flag and the number of alarms raised (where it has them).
+    trait Probe: HookRuntime + std::fmt::Debug {
+        fn probe(&self) -> (bool, usize) {
+            (false, 0)
+        }
+    }
+    impl Probe for NullRuntime {}
+    impl Probe for ProfilerRuntime {}
+    impl Probe for FtRuntime {
+        fn probe(&self) -> (bool, usize) {
+            (false, self.cb.alarms.len())
+        }
+    }
+    impl Probe for FiRuntime {
+        fn probe(&self) -> (bool, usize) {
+            (self.arm.delivered(), 0)
+        }
+    }
+    impl Probe for FiFtRuntime {
+        fn probe(&self) -> (bool, usize) {
+            (self.arm.delivered(), self.cb.alarms.len())
+        }
+    }
+
+    /// Every hook kind at the armed site (3) and at another site (4).
+    fn every_hook() -> Vec<Hook> {
+        let kinds = [
+            HookKind::FiPoint {
+                hw: HwComponent::IAlu,
+            },
+            HookKind::Profile { detector: 0 },
+            HookKind::CountExec,
+            HookKind::CheckRange { detector: 0 },
+            HookKind::CheckEqual { detector: 0 },
+            HookKind::ChecksumCheck,
+            HookKind::NlMismatch,
+        ];
+        [3, 4]
+            .into_iter()
+            .flat_map(|site| {
+                kinds.iter().map(move |kind| Hook {
+                    kind: kind.clone(),
+                    site,
+                    args: vec![],
+                    target: None,
+                })
+            })
+            .collect()
+    }
+
+    /// No fault, and every `FaultSite` variant armed at hook site / loop 3
+    /// against thread 1's first occurrence — a fault that would deliver at
+    /// the first dispatch it is handed.
+    fn every_fault() -> Vec<Option<ArmedFault>> {
+        let sites = [
+            FaultSite::HookTarget { site: 3 },
+            FaultSite::RegisterLive { site: 3, var: 0 },
+            FaultSite::LoopIterator { loop_id: 3 },
+            FaultSite::LoopDecision { loop_id: 3 },
+        ];
+        std::iter::once(None)
+            .chain(sites.into_iter().map(|site| {
+                Some(ArmedFault {
+                    site,
+                    thread: 1,
+                    occurrence: 1,
+                    mask: 0x8000_0001,
+                })
+            }))
+            .collect()
+    }
+
+    /// Drive every hook and loop `rt` does not observe with inputs that
+    /// would make any runtime act (armed thread active, out-of-range and
+    /// mismatching check arguments, a nonzero checksum) and check that the
+    /// callbacks changed nothing. Returns how many points `rt` observes.
+    fn check_unobserved_are_inert<R: Probe>(label: &str, mut rt: R) -> usize {
+        let state = |rt: &R| (format!("{rt:?}"), rt.probe(), rt.state_fingerprint());
+        let before = state(&rt);
+        let mut observed = 0;
+        for hook in every_hook() {
+            if rt.observes_hook(&hook) {
+                observed += 1;
+                continue;
+            }
+            let args = vec![vec![Value::F32(1.0e9); 2], vec![Value::F32(0.0); 2]];
+            let mut target = vec![Value::I32(5); 2];
+            let mut ctx = HookCtx {
+                block_id: 0,
+                warp_id: 0,
+                active: 0b11,
+                warp_width: 2,
+                first_thread: 0,
+                cycles: 77,
+                args: &args,
+                target: Some(&mut target),
+            };
+            rt.on_hook(&hook, &mut ctx);
+            assert_eq!(target, vec![Value::I32(5); 2], "{label}: {hook:?} target");
+            assert_eq!(
+                rt.register_corruption(&hook, 0, 0b11),
+                None,
+                "{label}: {hook:?} register corruption"
+            );
+            assert_eq!(state(&rt), before, "{label}: {hook:?} runtime state");
+        }
+        for loop_id in [3, 4] {
+            if rt.observes_loop(loop_id) {
+                observed += 1;
+                continue;
+            }
+            let mut iter = vec![Value::I32(7); 2];
+            let mut cond = 0b01;
+            let mut ctx = LoopCheckCtx {
+                block_id: 0,
+                warp_id: 0,
+                active: 0b11,
+                warp_width: 2,
+                first_thread: 0,
+                cycles: 77,
+                iteration: 0,
+                iter_var: Some(&mut iter),
+                cond_mask: &mut cond,
+            };
+            rt.on_loop_check(loop_id, &mut ctx);
+            assert_eq!(
+                iter,
+                vec![Value::I32(7); 2],
+                "{label}: loop {loop_id} iterator"
+            );
+            assert_eq!(cond, 0b01, "{label}: loop {loop_id} cond mask");
+            assert_eq!(state(&rt), before, "{label}: loop {loop_id} runtime state");
+        }
+        observed
+    }
+
+    #[test]
+    fn unobserved_hooks_and_loops_are_inert() {
+        let cb = || ControlBlock::with_ranges(vec![profile_ranges(&[1.0, 2.0])]);
+        assert_eq!(check_unobserved_are_inert("null", NullRuntime), 0);
+        // Profile and CountExec at both sites.
+        assert_eq!(
+            check_unobserved_are_inert("profiler", ProfilerRuntime::default()),
+            4
+        );
+        // The four FT checks at both sites.
+        assert_eq!(check_unobserved_are_inert("ft", FtRuntime::new(cb())), 8);
+        for fault in every_fault() {
+            // One point for an armed fault (FI point at site 3, or loop 3).
+            let armed = usize::from(fault.is_some());
+            let fi = check_unobserved_are_inert(&format!("fi {fault:?}"), FiRuntime::new(fault));
+            assert_eq!(fi, armed, "fi {fault:?}");
+            let fift = FiFtRuntime::new(fault, cb());
+            let n = check_unobserved_are_inert(&format!("fi&ft {fault:?}"), fift);
+            assert_eq!(n, 8 + armed, "fi&ft {fault:?}");
+        }
     }
 }

@@ -843,33 +843,6 @@ impl SectionMap {
             .find(|s| s.loops.contains(&loop_id))
             .map(|s| s.index)
     }
-
-    /// A stable FNV-1a hash of the partition: section spans plus the
-    /// site/loop windows each one owns, so kernels with different section
-    /// structures hash differently.
-    pub fn section_hash(&self) -> u64 {
-        let (mut h, prime) = (0xcbf29ce484222325u64, 0x100000001b3u64);
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(prime);
-            }
-        };
-        mix(self.sections.len() as u64);
-        for s in &self.sections {
-            mix(s.stmts.0 as u64);
-            mix(s.stmts.1 as u64);
-            mix(s.sites.len() as u64);
-            for site in &s.sites {
-                mix(*site as u64);
-            }
-            mix(s.loops.len() as u64);
-            for l in &s.loops {
-                mix(*l as u64);
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -1190,17 +1163,6 @@ mod tests {
         assert_eq!(sm.section_of_loop(loop_ids[0]), Some(1));
         assert_eq!(sm.section_of_loop(loop_ids[1]), Some(3));
         assert_eq!(sm.section_of_loop(77), None);
-    }
-
-    #[test]
-    fn section_hash_is_stable_and_structure_sensitive() {
-        let k = sectioned();
-        let h1 = partition_sections(&k).section_hash();
-        let h2 = partition_sections(&k).section_hash();
-        assert_eq!(h1, h2, "hash is deterministic");
-        let (k2, _) = cp_like();
-        let other = partition_sections(&k2).section_hash();
-        assert_ne!(h1, other, "different structure, different hash");
     }
 
     #[test]

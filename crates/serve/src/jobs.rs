@@ -24,6 +24,7 @@ use hauberk_swifi::sampler::AdaptiveConfig;
 use hauberk_telemetry::json::Json;
 use hauberk_telemetry::{lock_recover, Event, Telemetry, TelemetrySink};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -704,13 +705,38 @@ struct JobState {
 
 #[derive(Debug, Default)]
 struct EventBuf {
-    lines: Vec<String>,
+    /// The retained lines' text, back to back: a job's log is a few large
+    /// allocations, not one per line.
+    text: String,
+    /// The retained lines in log order. Released telemetry lines are
+    /// removed, so a finished job past the budget holds only its
+    /// `job_state` and `journal` lines.
+    lines: Vec<EventLine>,
+    /// Lines appended so far: the next line's position.
+    len: usize,
     dropped: u64,
-    /// Indices of the telemetry lines: everything but `job_state` and
-    /// `journal` events, which are never released.
-    telemetry: Vec<usize>,
-    /// Total bytes of the lines in `telemetry`.
+    /// Total bytes of the retained telemetry lines.
     telemetry_bytes: usize,
+}
+
+#[derive(Debug)]
+struct EventLine {
+    /// Position in the log (stream cursors count positions).
+    at: usize,
+    /// End of the line in [`EventBuf::text`]; it starts where the previous
+    /// retained line ends.
+    end: usize,
+    /// Everything but `job_state` and `journal` events, which are never
+    /// released.
+    telemetry: bool,
+}
+
+impl EventBuf {
+    /// Text of retained line `i`.
+    fn line(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.lines[p].end);
+        &self.text[start..self.lines[i].end]
+    }
 }
 
 /// One submitted campaign job: spec, lifecycle state, progress counters,
@@ -752,7 +778,13 @@ impl FinishedLogs {
     /// Account a job that just turned terminal, then release the oldest
     /// finished jobs' telemetry until the budget holds again.
     pub fn retire(&mut self, job: Arc<Job>) {
-        let held = lock_recover(&job.events).telemetry_bytes;
+        let held = {
+            // The log is complete: give back its growth slack.
+            let mut buf = lock_recover(&job.events);
+            buf.text.shrink_to_fit();
+            buf.lines.shrink_to_fit();
+            buf.telemetry_bytes
+        };
         self.bytes += held;
         self.jobs.push_back((job, held));
         while self.bytes > FINISHED_TELEMETRY_BYTES && self.jobs.len() > 1 {
@@ -903,26 +935,33 @@ impl Job {
     /// fleet coordinator reads shard journals back through.
     pub fn push_journal_line(&self, line: &str) {
         let ev = Json::obj([("ev", Json::str("journal")), ("line", Json::str(line))]);
-        self.push_line(ev.to_string(), false);
+        self.push_line(ev, false);
     }
 
     fn push_lifecycle(&self, state: &str) {
         let line = Json::obj([("ev", Json::str("job_state")), ("state", Json::str(state))]);
-        self.push_line(line.to_string(), false);
+        self.push_line(line, false);
     }
 
     /// Append one event line; `telemetry` lines may later be released by
     /// [`FinishedLogs`].
-    fn push_line(&self, line: String, telemetry: bool) {
+    fn push_line(&self, line: impl std::fmt::Display, telemetry: bool) {
         {
-            let mut buf = lock_recover(&self.events);
-            if buf.lines.len() < MAX_EVENT_LINES {
+            let mut guard = lock_recover(&self.events);
+            let buf = &mut *guard;
+            if buf.len < MAX_EVENT_LINES {
+                let start = buf.text.len();
+                let _ = write!(buf.text, "{line}");
+                let end = buf.text.len();
                 if telemetry {
-                    let at = buf.lines.len();
-                    buf.telemetry.push(at);
-                    buf.telemetry_bytes += line.len();
+                    buf.telemetry_bytes += end - start;
                 }
-                buf.lines.push(line);
+                buf.lines.push(EventLine {
+                    at: buf.len,
+                    end,
+                    telemetry,
+                });
+                buf.len += 1;
             } else {
                 buf.dropped += 1;
             }
@@ -930,13 +969,24 @@ impl Job {
         self.wake.notify_all();
     }
 
-    /// Empty every telemetry line, keeping `job_state` and `journal` lines
+    /// Drop every telemetry line, keeping `job_state` and `journal` lines
     /// and every line's position, so stream cursors stay valid.
     fn release_telemetry(&self) {
         let mut buf = lock_recover(&self.events);
-        for i in std::mem::take(&mut buf.telemetry) {
-            buf.lines[i] = String::new();
+        let mut text = String::new();
+        let mut kept = Vec::new();
+        for (i, l) in buf.lines.iter().enumerate() {
+            if !l.telemetry {
+                text.push_str(buf.line(i));
+                kept.push(EventLine {
+                    at: l.at,
+                    end: text.len(),
+                    telemetry: false,
+                });
+            }
         }
+        buf.text = text;
+        buf.lines = kept;
         buf.telemetry_bytes = 0;
     }
 
@@ -970,17 +1020,20 @@ impl Job {
     /// [`EventBatch::released`].
     pub fn events_since(&self, from: usize, wait: Duration) -> EventBatch {
         let mut buf = lock_recover(&self.events);
-        if buf.lines.len() <= from && !self.phase().terminal() {
+        if buf.len <= from && !self.phase().terminal() {
             let (b, _timeout) = self
                 .wake
                 .wait_timeout(buf, wait)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             buf = b;
         }
-        let new = buf.lines.get(from..).unwrap_or(&[]);
-        let lines: Vec<String> = new.iter().filter(|l| !l.is_empty()).cloned().collect();
-        let released = (new.len() - lines.len()) as u64;
-        let (next, dropped) = (from + new.len(), buf.dropped);
+        let first = buf.lines.partition_point(|l| l.at < from);
+        let lines: Vec<String> = (first..buf.lines.len())
+            .map(|i| buf.line(i).to_string())
+            .collect();
+        let next = buf.len.max(from);
+        let released = (next - from - lines.len()) as u64;
+        let dropped = buf.dropped;
         drop(buf);
         EventBatch {
             lines,
@@ -1034,7 +1087,7 @@ impl TelemetrySink for JobEventSink {
             }
             _ => {}
         }
-        self.job.push_line(event.to_json().to_string(), true);
+        self.job.push_line(event.to_json(), true);
     }
 }
 
@@ -1325,6 +1378,11 @@ mod tests {
         let oldest = jobs[0].events_since(0, Duration::ZERO);
         assert_eq!(oldest.released, 16);
         assert_eq!(oldest.next, newest.next, "cursors keep their positions");
+        assert_eq!(
+            lock_recover(&jobs[0].events).lines.len(),
+            4,
+            "released lines are dropped, not kept as empty entries"
+        );
         let kinds: Vec<&str> = oldest
             .lines
             .iter()

@@ -4,14 +4,13 @@
 //! A fault is *armed* against a static location ([`FaultSite`]), a specific
 //! global thread, a dynamic occurrence count, and an XOR bit mask. Delivery
 //! happens inside the interpreter's hook/loop-check callbacks via
-//! [`FaultArm`], which the FI library runtimes embed. Occurrence counting is
-//! **per (site, thread)**, making injections deterministic regardless of
-//! block execution order.
+//! [`FaultArm`], which the FI library runtimes embed. Occurrences are
+//! counted **for the armed thread only** (no other thread can ever deliver),
+//! making injections deterministic regardless of block execution order.
 
 use crate::hooks::{HookCtx, LoopCheckCtx};
 use hauberk_kir::stmt::{LoopId, SiteId};
 use hauberk_kir::MemSpace;
-use std::collections::HashMap;
 
 /// Static location a fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,11 +72,13 @@ pub struct ArmedFault {
     pub mask: u32,
 }
 
-/// Tracks occurrence counts and delivers an armed fault at most once.
+/// Counts the armed thread's occurrences of the armed site and delivers the
+/// fault at most once.
 #[derive(Debug, Default)]
 pub struct FaultArm {
     fault: Option<ArmedFault>,
-    counts: HashMap<(FaultSite, u32), u64>,
+    /// Executions of the armed site by the armed thread so far.
+    count: u64,
     delivered: bool,
 }
 
@@ -86,7 +87,7 @@ impl FaultArm {
     pub fn new(fault: Option<ArmedFault>) -> Self {
         FaultArm {
             fault,
-            counts: HashMap::new(),
+            count: 0,
             delivered: false,
         }
     }
@@ -103,8 +104,50 @@ impl FaultArm {
         self.fault.as_ref()
     }
 
+    /// Whether the armed fault triggers at hook `site` (a
+    /// [`FaultSite::HookTarget`] or [`FaultSite::RegisterLive`] there). At
+    /// any other hook [`FaultArm::at_hook`] and [`FaultArm::poll_register`]
+    /// do nothing.
+    pub fn arms_hook(&self, site: SiteId) -> bool {
+        match self.fault.map(|f| f.site) {
+            Some(FaultSite::HookTarget { site: want })
+            | Some(FaultSite::RegisterLive { site: want, .. }) => want == site,
+            _ => false,
+        }
+    }
+
+    /// Whether the armed fault triggers at the condition checks of loop
+    /// `loop_id` (a [`FaultSite::LoopIterator`] or
+    /// [`FaultSite::LoopDecision`] there). At any other loop
+    /// [`FaultArm::at_loop_check`] does nothing.
+    pub fn arms_loop(&self, loop_id: LoopId) -> bool {
+        match self.fault.map(|f| f.site) {
+            Some(FaultSite::LoopIterator { loop_id: want })
+            | Some(FaultSite::LoopDecision { loop_id: want }) => want == loop_id,
+            _ => false,
+        }
+    }
+
+    /// Count one execution of the armed site by the warp whose lane 0 is
+    /// `first_thread`. Returns the armed thread's lane when this execution
+    /// is the armed occurrence and nothing was delivered yet.
+    fn tick(
+        &mut self,
+        f: &ArmedFault,
+        first_thread: u32,
+        active: u32,
+        warp_width: u32,
+    ) -> Option<u32> {
+        let lane = f.thread.wrapping_sub(first_thread);
+        if lane >= warp_width || active & (1 << lane) == 0 {
+            return None;
+        }
+        self.count += 1;
+        (self.count == f.occurrence && !self.delivered).then_some(lane)
+    }
+
     /// Poll for a register-file corruption at hook `site` (the interpreter
-    /// applies it to the named variable). Counts occurrences per thread.
+    /// applies it to the named variable).
     pub fn poll_register(
         &mut self,
         site: SiteId,
@@ -119,24 +162,13 @@ impl FaultArm {
         if want != site {
             return None;
         }
-        let mut hit = None;
-        for lane in 0..warp_width {
-            if active & (1 << lane) == 0 {
-                continue;
-            }
-            let thread = first_thread + lane;
-            let n = self.counts.entry((f.site, thread)).or_insert(0);
-            *n += 1;
-            if thread == f.thread && *n == f.occurrence && !self.delivered {
-                self.delivered = true;
-                hit = Some(crate::hooks::RegCorruption {
-                    var,
-                    lane,
-                    mask: f.mask,
-                });
-            }
-        }
-        hit
+        let lane = self.tick(&f, first_thread, active, warp_width)?;
+        self.delivered = true;
+        Some(crate::hooks::RegCorruption {
+            var,
+            lane,
+            mask: f.mask,
+        })
     }
 
     /// Deliver at a fault-injection hook: corrupts the target variable of
@@ -149,49 +181,34 @@ impl FaultArm {
         if want != site {
             return;
         }
-        let lanes: Vec<u32> = ctx.active_lanes().collect();
-        for lane in lanes {
-            let thread = ctx.thread_of(lane);
-            let n = self.counts.entry((f.site, thread)).or_insert(0);
-            *n += 1;
-            if thread == f.thread && *n == f.occurrence && !self.delivered {
-                if let Some(target) = ctx.target.as_deref_mut() {
-                    target[lane as usize] = target[lane as usize].xor_bits(f.mask);
-                    self.delivered = true;
-                }
-            }
+        let Some(lane) = self.tick(&f, ctx.first_thread, ctx.active, ctx.warp_width) else {
+            return;
+        };
+        if let Some(target) = ctx.target.as_deref_mut() {
+            target[lane as usize] = target[lane as usize].xor_bits(f.mask);
+            self.delivered = true;
         }
     }
 
     /// Deliver at a loop condition evaluation (scheduler faults).
     pub fn at_loop_check(&mut self, loop_id: LoopId, ctx: &mut LoopCheckCtx<'_>) {
         let Some(f) = self.fault else { return };
+        if !self.arms_loop(loop_id) {
+            return;
+        }
+        let Some(lane) = self.tick(&f, ctx.first_thread, ctx.active, ctx.warp_width) else {
+            return;
+        };
         match f.site {
-            FaultSite::LoopIterator { loop_id: want } if want == loop_id => {
-                let lanes: Vec<u32> = ctx.active_lanes().collect();
-                for lane in lanes {
-                    let thread = ctx.first_thread + lane;
-                    let n = self.counts.entry((f.site, thread)).or_insert(0);
-                    *n += 1;
-                    if thread == f.thread && *n == f.occurrence && !self.delivered {
-                        if let Some(iv) = ctx.iter_var.as_deref_mut() {
-                            iv[lane as usize] = iv[lane as usize].xor_bits(f.mask);
-                            self.delivered = true;
-                        }
-                    }
+            FaultSite::LoopIterator { .. } => {
+                if let Some(iv) = ctx.iter_var.as_deref_mut() {
+                    iv[lane as usize] = iv[lane as usize].xor_bits(f.mask);
+                    self.delivered = true;
                 }
             }
-            FaultSite::LoopDecision { loop_id: want } if want == loop_id => {
-                let lanes: Vec<u32> = ctx.active_lanes().collect();
-                for lane in lanes {
-                    let thread = ctx.first_thread + lane;
-                    let n = self.counts.entry((f.site, thread)).or_insert(0);
-                    *n += 1;
-                    if thread == f.thread && *n == f.occurrence && !self.delivered {
-                        *ctx.cond_mask ^= 1 << lane;
-                        self.delivered = true;
-                    }
-                }
+            FaultSite::LoopDecision { .. } => {
+                *ctx.cond_mask ^= 1 << lane;
+                self.delivered = true;
             }
             _ => {}
         }
@@ -329,6 +346,58 @@ mod tests {
         arm.at_loop_check(0, &mut ctx);
         assert!(arm.delivered());
         assert_eq!(cond, 0b1, "thread forced to take another iteration");
+    }
+
+    #[test]
+    fn only_the_armed_threads_executions_count() {
+        let mut arm = FaultArm::new(Some(ArmedFault {
+            site: FaultSite::HookTarget { site: 7 },
+            thread: 3,
+            occurrence: 2,
+            mask: 0x1,
+        }));
+        let args: Vec<Vec<Value>> = vec![];
+        let mut target = vec![Value::I32(0); 2];
+        let mut run = |arm: &mut FaultArm, first_thread: u32, active: u32| {
+            let mut ctx = ctx_with_target(&mut target, &args);
+            ctx.first_thread = first_thread;
+            ctx.active = active;
+            arm.at_hook(7, &mut ctx);
+        };
+        // Warps without thread 3 active, or not containing it, never count.
+        run(&mut arm, 2, 0b01);
+        run(&mut arm, 2, 0b01);
+        run(&mut arm, 0, 0b11);
+        run(&mut arm, 4, 0b11);
+        assert!(!arm.delivered());
+        // Thread 3 is lane 1 of the warp starting at thread 2.
+        run(&mut arm, 2, 0b11);
+        assert!(!arm.delivered(), "first occurrence");
+        run(&mut arm, 2, 0b10);
+        assert!(arm.delivered(), "second occurrence");
+        assert_eq!(target, vec![Value::I32(0), Value::I32(1)]);
+    }
+
+    #[test]
+    fn arms_hook_and_loop_name_the_armed_point() {
+        let arm = |site| {
+            FaultArm::new(Some(ArmedFault {
+                site,
+                thread: 0,
+                occurrence: 1,
+                mask: 1,
+            }))
+        };
+        let hook = arm(FaultSite::HookTarget { site: 2 });
+        assert!(hook.arms_hook(2) && !hook.arms_hook(3) && !hook.arms_loop(2));
+        let reg = arm(FaultSite::RegisterLive { site: 2, var: 9 });
+        assert!(reg.arms_hook(2) && !reg.arms_hook(9) && !reg.arms_loop(2));
+        let iter = arm(FaultSite::LoopIterator { loop_id: 1 });
+        assert!(iter.arms_loop(1) && !iter.arms_loop(2) && !iter.arms_hook(1));
+        let dec = arm(FaultSite::LoopDecision { loop_id: 1 });
+        assert!(dec.arms_loop(1) && !dec.arms_hook(1));
+        let none = FaultArm::new(None);
+        assert!(!none.arms_hook(0) && !none.arms_loop(0));
     }
 
     #[test]

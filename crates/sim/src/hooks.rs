@@ -11,6 +11,15 @@
 //! condition evaluation, giving fault injectors a place to emulate
 //! **SM-scheduler faults** (corrupting a loop iterator or a branch decision)
 //! without rewriting the AST.
+//!
+//! A runtime declares which dispatch points it acts on through its
+//! **interest filter**, [`HookRuntime::observes_hook`] and
+//! [`HookRuntime::observes_loop`]. An FI runtime arms one (site, thread,
+//! occurrence), so every other FI hook is a no-op for it. The batched VM
+//! skips the typed lane views and the callbacks at a point the runtime does
+//! not observe; its charges, statistics, telemetry and producer-tag
+//! invalidation are unchanged. The tree walker and the bytecode VM dispatch
+//! every point, so they stay the unfiltered reference.
 
 use hauberk_kir::stmt::LoopId;
 use hauberk_kir::{Hook, Value};
@@ -117,14 +126,23 @@ pub trait HookRuntime {
         None
     }
 
-    /// Whether this runtime ignores every callback: it neither observes nor
-    /// mutates hook arguments, targets, loop iterators, or decision masks,
-    /// and never reports a corruption. Engines may then skip materializing
-    /// typed lane-state views at dispatch points (charges, stats, and
-    /// telemetry are unaffected). Only override to return `true` for a
-    /// runtime whose callbacks are all no-ops.
-    fn is_passive(&self) -> bool {
-        false
+    /// Whether [`HookRuntime::on_hook`] and
+    /// [`HookRuntime::register_corruption`] can act at `hook`. Answering
+    /// `false` is a contract: at that hook the callbacks read and mutate
+    /// nothing — not the arguments or target, and no runtime state that
+    /// feeds the launch or a post-run readout — and `register_corruption`
+    /// returns `None`. Engines may then skip the dispatch (charges, stats
+    /// and telemetry are unaffected). Default: observe every hook.
+    fn observes_hook(&self, _hook: &Hook) -> bool {
+        true
+    }
+
+    /// Whether [`HookRuntime::on_loop_check`] can act at the condition
+    /// checks of loop `loop_id`; `false` carries the same contract as
+    /// [`HookRuntime::observes_hook`] for the iterator and the decision
+    /// mask. Default: observe every loop.
+    fn observes_loop(&self, _loop_id: LoopId) -> bool {
+        true
     }
 
     /// A stable fingerprint of the runtime state that can still influence
@@ -151,8 +169,12 @@ pub struct NullRuntime;
 impl HookRuntime for NullRuntime {
     fn on_hook(&mut self, _hook: &Hook, _ctx: &mut HookCtx<'_>) {}
 
-    fn is_passive(&self) -> bool {
-        true
+    fn observes_hook(&self, _hook: &Hook) -> bool {
+        false
+    }
+
+    fn observes_loop(&self, _loop_id: LoopId) -> bool {
+        false
     }
 
     /// Stateless, so any two null runtimes are interchangeable.

@@ -688,11 +688,12 @@ impl<'a> VmExec<'a> {
             cycles,
         });
         let has_iter = iter != NO_REG;
-        // Batch tier: a passive runtime neither reads nor mutates the
-        // iterator or the decision mask, so materializing a typed view is
-        // pure waste. The producer-tag invalidation below still happens
-        // (both engines do it unconditionally), keeping pairing identical.
-        if self.batch.is_some() && self.runtime.is_passive() {
+        // Batch tier: a runtime that does not observe this loop neither
+        // reads nor mutates the iterator or the decision mask, so
+        // materializing a typed view is pure waste. The producer-tag
+        // invalidation below still happens (both engines do it
+        // unconditionally), keeping pairing identical.
+        if self.batch.is_some() && !self.runtime.observes_loop(loop_id) {
             if has_iter {
                 self.producer[iter as usize] = 0;
             }
@@ -747,12 +748,13 @@ impl<'a> VmExec<'a> {
             warp: geom.warp_id,
             cycles,
         });
-        // Batch tier: a passive runtime ignores the hook entirely — skip
-        // materializing argument/target views. Charges, stats, telemetry
-        // (above) and the target producer invalidation (the runtime "may
-        // have" corrupted it as far as pairing is concerned) still happen,
-        // and `register_corruption` is `None` by the passivity contract.
-        if self.batch.is_some() && self.runtime.is_passive() {
+        // Batch tier: a runtime that does not observe this hook ignores it
+        // entirely — skip materializing argument/target views. Charges,
+        // stats, telemetry (above) and the target producer invalidation (the
+        // runtime "may have" corrupted it as far as pairing is concerned)
+        // still happen, and `register_corruption` is `None` by the filter's
+        // contract.
+        if self.batch.is_some() && !self.runtime.observes_hook(h) {
             if let Some(v) = h.target {
                 self.producer[v as usize] = 0;
             }

@@ -43,7 +43,7 @@ use hauberk_kir::{
 };
 use hauberk_sim::{
     disassemble, ArmedFault, Device, DeviceConfig, ExecEngine, FaultSite, HookCtx, HookRuntime,
-    Launch, LaunchOutcome, LoopCheckCtx, NullRuntime, RegCorruption,
+    Launch, LaunchOutcome, LoopCheckCtx, RegCorruption,
 };
 use proptest::prelude::*;
 
@@ -435,9 +435,12 @@ fn emit_stmt(
 // ---------------------------------------------------------------------------
 
 /// Wraps any [`HookRuntime`] and logs every interaction between the engine
-/// and the runtime: hook dispatches (with argument bits and post-dispatch
-/// target bits), loop checks (with iterator bits and the condition mask),
-/// and register corruptions. Two engines agree iff their logs are equal.
+/// and the runtime that the inner runtime observes: hook dispatches (with
+/// argument bits and post-dispatch target bits), loop checks (with iterator
+/// bits and the condition mask), and register corruptions. The interest
+/// filter is forwarded, so the batched VM skips what the inner runtime does
+/// not observe while the tree walker still dispatches it (unlogged); two
+/// engines agree iff their logs are equal.
 struct Recorder<R> {
     inner: R,
     log: Vec<String>,
@@ -452,12 +455,25 @@ impl<R> Recorder<R> {
     }
 }
 
+/// A no-op runtime that keeps the trait's default interest filter (observe
+/// every hook and loop), so every engine takes its full dispatch path and
+/// the [`Recorder`] logs every dispatch context.
+struct ObserveAll;
+
+impl HookRuntime for ObserveAll {
+    fn on_hook(&mut self, _hook: &Hook, _ctx: &mut HookCtx) {}
+}
+
 fn bits_of(vals: &[Value]) -> Vec<u32> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
 impl<R: HookRuntime> HookRuntime for Recorder<R> {
     fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx) {
+        if !self.inner.observes_hook(hook) {
+            self.inner.on_hook(hook, ctx);
+            return;
+        }
         let args: Vec<Vec<u32>> = ctx.args.iter().map(|a| bits_of(a)).collect();
         self.inner.on_hook(hook, ctx);
         let target = ctx.target.as_ref().map(|t| bits_of(t));
@@ -469,6 +485,9 @@ impl<R: HookRuntime> HookRuntime for Recorder<R> {
 
     fn on_loop_check(&mut self, loop_id: LoopId, ctx: &mut LoopCheckCtx) {
         self.inner.on_loop_check(loop_id, ctx);
+        if !self.inner.observes_loop(loop_id) {
+            return;
+        }
         let iter = ctx.iter_var.as_ref().map(|t| bits_of(t));
         self.log.push(format!(
             "loop_check loop={} blk={} warp={} act={:08x} iter#{} cyc={} iter_var={:?} cond={:08x}",
@@ -497,6 +516,14 @@ impl<R: HookRuntime> HookRuntime for Recorder<R> {
             ));
         }
         r
+    }
+
+    fn observes_hook(&self, hook: &Hook) -> bool {
+        self.inner.observes_hook(hook)
+    }
+
+    fn observes_loop(&self, loop_id: LoopId) -> bool {
+        self.inner.observes_loop(loop_id)
     }
 }
 
@@ -669,26 +696,31 @@ fn train_ranges(kernel: &KernelDef, trip: u8) -> Vec<hauberk::RangeSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Fault-free agreement on the raw kernel: identical outcome (stats
-    /// included) and bit-identical output memory.
+    /// Fault-free agreement on the raw kernel and on its FI build, with
+    /// every dispatch observed: identical outcome (stats included),
+    /// bit-identical output memory, and identical loop-check and FI-hook
+    /// contexts (iterator, mask, argument and target bits, cycle stamps).
     #[test]
     fn engines_agree_fault_free(g in gen_kernel()) {
         let k = materialize(&g);
         validate_kernel(&k).unwrap();
-        let (tw, _) = run_engine(&k, g.trip, ExecEngine::TreeWalk, NullRuntime);
-        let (bc, _) = run_engine(&k, g.trip, ExecEngine::Bytecode, NullRuntime);
-        let (ba, _) = run_engine(&k, g.trip, ExecEngine::Batch, NullRuntime);
-        prop_assert!(tw.outcome.is_completed(), "generated kernels terminate: {:?}", tw.outcome);
-        check_agreement(&k, "fault-free baseline", &[
-            (ExecEngine::TreeWalk, &tw),
-            (ExecEngine::Bytecode, &bc),
-            (ExecEngine::Batch, &ba),
-        ]);
+        let fi = build(&k, BuildVariant::Fi).unwrap();
+        for (kernel, label) in [(&k, "fault-free baseline"), (&fi.kernel, "fault-free FI build")] {
+            let (tw, _) = run_engine(kernel, g.trip, ExecEngine::TreeWalk, ObserveAll);
+            let (bc, _) = run_engine(kernel, g.trip, ExecEngine::Bytecode, ObserveAll);
+            let (ba, _) = run_engine(kernel, g.trip, ExecEngine::Batch, ObserveAll);
+            prop_assert!(tw.outcome.is_completed(), "generated kernels terminate: {:?}", tw.outcome);
+            check_agreement(kernel, label, &[
+                (ExecEngine::TreeWalk, &tw),
+                (ExecEngine::Bytecode, &bc),
+                (ExecEngine::Batch, &ba),
+            ]);
+        }
     }
 
-    /// Fault-free agreement on the fully instrumented FT build: the hook
-    /// dispatch sequence (argument bits, target bits, masks, cycle stamps),
-    /// loop checks, and detector alarms all match, and no alarm fires.
+    /// Fault-free agreement on the fully instrumented FT build: the FT hook
+    /// dispatch sequence (argument bits, target bits, masks, cycle stamps)
+    /// and detector alarms all match, and no alarm fires.
     #[test]
     fn engines_agree_instrumented(g in gen_kernel()) {
         let k = materialize(&g);
@@ -815,9 +847,9 @@ fn divergence_heavy_three_way() {
     };
     let k = materialize(&g);
     validate_kernel(&k).unwrap();
-    let (tw, _) = run_engine(&k, g.trip, ExecEngine::TreeWalk, NullRuntime);
-    let (bc, _) = run_engine(&k, g.trip, ExecEngine::Bytecode, NullRuntime);
-    let (ba, _) = run_engine(&k, g.trip, ExecEngine::Batch, NullRuntime);
+    let (tw, _) = run_engine(&k, g.trip, ExecEngine::TreeWalk, ObserveAll);
+    let (bc, _) = run_engine(&k, g.trip, ExecEngine::Bytecode, ObserveAll);
+    let (ba, _) = run_engine(&k, g.trip, ExecEngine::Batch, ObserveAll);
     assert!(tw.outcome.is_completed(), "{:?}", tw.outcome);
     check_agreement(
         &k,
