@@ -295,11 +295,13 @@ fn campaign_main(args: &[String]) -> Result<(), CliError> {
         let full = ck.reference_cycles.saturating_mul(ck.injections);
         let actual = ck.reference_cycles + ck.executed_cycles;
         eprintln!(
-            "checkpoint: {} boundaries over {} section(s); {}/{} injection(s) spliced; \
-             {} cycles simulated vs {} full re-execution ({:.1}x)",
+            "checkpoint: {} boundaries over {} section(s); {}/{} injection(s) spliced, \
+             {}/{} composed; {} cycles executed vs {} full re-execution ({:.1}x)",
             ck.boundaries,
             ck.sections,
             ck.spliced,
+            ck.injections,
+            ck.composed,
             ck.injections,
             actual,
             full,

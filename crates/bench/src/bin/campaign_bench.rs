@@ -9,11 +9,14 @@
 //! in `BENCH_campaign.json`.
 //!
 //! It then prices fault-free prefix checkpointing the same way: the pinned
-//! campaign runs once with full re-execution and once from the shared
-//! checkpoint, on two paper benchmarks (CP and PNS). The standing checks are
-//! that the summaries are byte-identical and that checkpointing cuts the
-//! simulated work cycles by at least 2x; the per-benchmark ledgers land in
-//! the same `BENCH_campaign.json` under `"checkpoint"`.
+//! campaign runs with full re-execution and from the shared checkpoint, on
+//! two paper benchmarks (CP and PNS), in interleaved rounds whose host wall
+//! times are reported as median and quartiles beside the simulated-cycle
+//! ledger and the fraction of injections composed from the reference. The
+//! standing checks are that every round's summaries are byte-identical and
+//! that checkpointing cuts the simulated work cycles by at least 2x; the
+//! per-benchmark ledgers land in the same `BENCH_campaign.json` under
+//! `"checkpoint"`.
 //!
 //! ```text
 //! campaign_bench [--ci-width F] [--min-samples N] [--out PATH]
@@ -25,6 +28,29 @@ use hauberk_swifi::orchestrator::{run_orchestrated_campaign, OrchestratorConfig}
 use hauberk_swifi::plan::PlanConfig;
 use hauberk_swifi::sampler::{ci_width, AdaptiveConfig};
 use hauberk_telemetry::json::Json;
+use std::time::Instant;
+
+/// Interleaved full / checkpointed rounds per benchmark (the order
+/// alternates, so host drift hits both sides alike).
+const CHECKPOINT_ROUNDS: usize = 7;
+
+/// Median and quartiles of `v` (nearest rank).
+fn quartiles(v: &mut [f64]) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Wall-time summary (seconds) of one side of the checkpoint comparison.
+fn wall_json(times: &mut [f64]) -> Json {
+    let [q1, median, q3] = quartiles(times);
+    Json::obj([
+        ("median_s", Json::Num(median)),
+        ("q1_s", Json::Num(q1)),
+        ("q3_s", Json::Num(q3)),
+        ("rounds", Json::uint(times.len() as u64)),
+    ])
+}
 
 fn main() {
     let args = process_args(&[
@@ -138,37 +164,62 @@ fn main() {
             },
             ..Default::default()
         };
-        let full = run_orchestrated_campaign(
-            prog.as_ref(),
-            CampaignKind::Sensitivity,
-            &ck_cfg,
-            &OrchestratorConfig::default(),
-        )
-        .expect("full re-execution campaign");
-        let ck = run_orchestrated_campaign(
-            prog.as_ref(),
-            CampaignKind::Sensitivity,
-            &ck_cfg,
-            &OrchestratorConfig {
-                checkpoint: true,
-                ..Default::default()
-            },
-        )
-        .expect("checkpointed campaign");
-        assert_eq!(
-            full.summary_json(),
-            ck.summary_json(),
-            "{name}: checkpointed summary must be byte-identical"
-        );
-        assert_eq!(full.summarize(), ck.summarize());
+        let run = |checkpoint: bool| {
+            let t = Instant::now();
+            let r = run_orchestrated_campaign(
+                prog.as_ref(),
+                CampaignKind::Sensitivity,
+                &ck_cfg,
+                &OrchestratorConfig {
+                    checkpoint,
+                    ..Default::default()
+                },
+            )
+            .expect("campaign");
+            (r, t.elapsed().as_secs_f64())
+        };
+        let (mut full_wall, mut ck_wall) = (Vec::new(), Vec::new());
+        let mut last = None;
+        for round in 0..CHECKPOINT_ROUNDS {
+            let (full, ck) = if round % 2 == 0 {
+                let f = run(false);
+                (f, run(true))
+            } else {
+                let c = run(true);
+                (run(false), c)
+            };
+            assert_eq!(
+                full.0.summary_json(),
+                ck.0.summary_json(),
+                "{name}: checkpointed summary must be byte-identical"
+            );
+            assert_eq!(full.0.summarize(), ck.0.summarize());
+            full_wall.push(full.1);
+            ck_wall.push(ck.1);
+            last = Some((full.0, ck.0));
+        }
+        let (full, ck) = last.expect("at least one round");
         let stats = ck.checkpoint.as_ref().unwrap_or_else(|| {
             panic!("{name}: checkpoint store must build for the paper benchmarks")
         });
         let cycle_reduction = full.sim_cycles as f64 / ck.sim_cycles.max(1) as f64;
+        let executed = stats.reference_cycles + stats.executed_cycles;
+        let executed_reduction = full.sim_cycles as f64 / executed.max(1) as f64;
+        let composed_fraction = stats.composed as f64 / stats.injections.max(1) as f64;
+        let (full_med, ck_med) = (quartiles(&mut full_wall)[1], quartiles(&mut ck_wall)[1]);
         eprintln!(
-            "{name}: full {} cycles, checkpointed {} ({} boundaries, {}/{} spliced): \
-             {cycle_reduction:.2}x reduction",
-            full.sim_cycles, ck.sim_cycles, stats.boundaries, stats.spliced, stats.injections
+            "{name}: full {} cycles, checkpointed {} ({} boundaries, {}/{} spliced, \
+             {}/{} composed): {cycle_reduction:.2}x reduction, {executed_reduction:.2}x \
+             executed; wall {full_med:.3} s -> {ck_med:.3} s ({:.2}x, medians of \
+             {CHECKPOINT_ROUNDS})",
+            full.sim_cycles,
+            ck.sim_cycles,
+            stats.boundaries,
+            stats.spliced,
+            stats.injections,
+            stats.composed,
+            stats.injections,
+            full_med / ck_med
         );
         assert!(
             cycle_reduction >= 2.0,
@@ -187,8 +238,15 @@ fn main() {
             ("boundaries", Json::uint(stats.boundaries)),
             ("injections", Json::uint(stats.injections)),
             ("spliced", Json::uint(stats.spliced)),
+            ("composed", Json::uint(stats.composed)),
+            ("fell_back", Json::uint(stats.fell_back)),
+            ("composed_fraction", Json::Num(composed_fraction)),
             ("reference_cycles", Json::uint(stats.reference_cycles)),
             ("executed_cycles", Json::uint(stats.executed_cycles)),
+            ("executed_cycle_reduction", Json::Num(executed_reduction)),
+            ("full_wall", wall_json(&mut full_wall)),
+            ("checkpoint_wall", wall_json(&mut ck_wall)),
+            ("wall_speedup", Json::Num(full_med / ck_med)),
             ("byte_identical", Json::Bool(true)),
         ]));
     }

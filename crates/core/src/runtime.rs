@@ -785,6 +785,70 @@ mod tests {
         observed
     }
 
+    /// The composition half of the `state_fingerprint` contract: the two
+    /// runtimes a checkpoint store uses change nothing the launch or the
+    /// classifier sees when a thread outside the armed one's block hits any
+    /// hook or loop with values an alarm-free reference produces (in-range
+    /// and matching check arguments, a zero checksum). `NlMismatch` is
+    /// left out: it sits inside `if (orig != dup)`, which reference values
+    /// never enter.
+    #[test]
+    fn fingerprinting_runtimes_are_inert_for_other_blocks_at_reference_values() {
+        fn check<R: Probe>(label: &str, mut rt: R) {
+            assert!(rt.state_fingerprint().is_some(), "{label} opts in");
+            let state = |rt: &R| (rt.probe(), rt.state_fingerprint());
+            let before = state(&rt);
+            let hooks = every_hook().into_iter();
+            for hook in hooks.filter(|h| h.kind != HookKind::NlMismatch) {
+                let v = match hook.kind {
+                    HookKind::ChecksumCheck => Value::I32(0),
+                    _ => Value::F32(1.5),
+                };
+                let args = vec![vec![v; 2], vec![v; 2]];
+                let mut target = vec![Value::I32(5); 2];
+                let mut ctx = HookCtx {
+                    block_id: 1,
+                    warp_id: 0,
+                    active: 0b11,
+                    warp_width: 2,
+                    first_thread: 32,
+                    cycles: 77,
+                    args: &args,
+                    target: Some(&mut target),
+                };
+                rt.on_hook(&hook, &mut ctx);
+                assert_eq!(target, vec![Value::I32(5); 2], "{label}: {hook:?} target");
+                assert_eq!(rt.register_corruption(&hook, 32, 0b11), None, "{label}");
+                assert_eq!(state(&rt), before, "{label}: {hook:?} runtime state");
+            }
+            for loop_id in [3, 4] {
+                let mut iter = vec![Value::I32(7); 2];
+                let mut cond = 0b01;
+                rt.on_loop_check(
+                    loop_id,
+                    &mut LoopCheckCtx {
+                        block_id: 1,
+                        warp_id: 0,
+                        active: 0b11,
+                        warp_width: 2,
+                        first_thread: 32,
+                        cycles: 77,
+                        iteration: 0,
+                        iter_var: Some(&mut iter),
+                        cond_mask: &mut cond,
+                    },
+                );
+                assert_eq!((iter, cond), (vec![Value::I32(7); 2], 0b01), "{label}");
+                assert_eq!(state(&rt), before, "{label}: loop {loop_id} state");
+            }
+        }
+        let cb = || ControlBlock::with_ranges(vec![profile_ranges(&[1.0, 2.0])]);
+        for fault in every_fault() {
+            check(&format!("fi {fault:?}"), FiRuntime::new(fault));
+            check(&format!("fi&ft {fault:?}"), FiFtRuntime::new(fault, cb()));
+        }
+    }
+
     #[test]
     fn unobserved_hooks_and_loops_are_inert() {
         let cb = || ControlBlock::with_ranges(vec![profile_ranges(&[1.0, 2.0])]);

@@ -3,16 +3,20 @@
 use crate::backend::{ExecBackend, Prepared, WarpCtx};
 use crate::config::DeviceConfig;
 use crate::fault::MemoryBurst;
+use crate::footprint::WordSet;
 use crate::hooks::HookRuntime;
 use crate::interp::{ExecErr, WarpGeom};
 use crate::memory::MemRegion;
 use crate::outcome::{LaunchOutcome, TrapReason};
-use crate::snapshot::{CaptureRun, Fnv1a, Snapshot, SnapshotError, Spliced};
+use crate::snapshot::{
+    BoundaryState, CaptureRun, Composition, Fnv1a, Snapshot, SnapshotError, Spliced,
+};
 use crate::stats::ExecStats;
 use hauberk_kir::validate::validate_kernel;
 use hauberk_kir::{KernelDef, MemSpace, PrimTy, PtrVal, Value};
 use hauberk_telemetry::span::SpanGuard;
 use hauberk_telemetry::{next_launch_id, Event, Telemetry};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Launch geometry and budget.
@@ -76,6 +80,8 @@ pub struct Device {
     /// Telemetry pipeline; [`Telemetry::disabled`] by default, so every
     /// emit site reduces to one branch.
     pub telemetry: Telemetry,
+    /// Reference suffix cycles the last [`Device::resume_spliced`] composed.
+    composed: Option<u64>,
 }
 
 impl Device {
@@ -90,6 +96,7 @@ impl Device {
             config,
             mem,
             telemetry: Telemetry::disabled(),
+            composed: None,
         }
     }
 
@@ -351,9 +358,16 @@ impl Device {
     /// state). This is the checkpoint reference pass: one full fault-free
     /// execution whose snapshots every injection in the campaign restores.
     ///
+    /// The same pass records each block's word-level global footprint, so
+    /// the snapshot of a boundary `b` below the last block also carries what
+    /// [`Device::resume_spliced`] needs to compose a run instead of
+    /// executing blocks `b + 1..`: the reference state after block `b` and
+    /// after the last block, and the words later blocks read and write.
+    ///
     /// Boundaries the run never reaches (trap or hang first) are absent from
     /// the result, as are fences whose `runtime` declines
-    /// [`HookRuntime::state_fingerprint`].
+    /// [`HookRuntime::state_fingerprint`]. A reference that traps or hangs
+    /// leaves its snapshots without composition data.
     pub fn capture_launch(
         &mut self,
         kernel: &KernelDef,
@@ -363,68 +377,109 @@ impl Device {
         boundaries: &[u32],
         fences: &[u32],
     ) -> CaptureRun {
+        let mut run = CaptureRun {
+            outcome: LaunchOutcome::Completed(ExecStats::default()),
+            snapshots: Vec::new(),
+            fences: Vec::new(),
+        };
         if let Err(out) = self.validate_launch(kernel, args) {
-            return CaptureRun {
-                outcome: out,
-                snapshots: Vec::new(),
-                fences: Vec::new(),
-            };
+            run.outcome = out;
+            return run;
         }
         let backend = self.config.engine.backend();
         let prepared = backend.prepare(kernel, &self.config);
         let tele = self.telemetry.clone();
         let total = launch.total_blocks();
 
-        // Merge both boundary sets into one sorted stop list.
-        let mut stops: Vec<u32> = boundaries
-            .iter()
-            .chain(fences.iter())
-            .map(|b| (*b).min(total))
-            .collect();
-        stops.sort_unstable();
-        stops.dedup();
+        // Per boundary 0..=total: snapshot it, fingerprint it, and keep its
+        // state (a snapshot's own, the one after it, and the post-run one).
+        let n = total as usize + 1;
+        let (mut snap_at, mut fence_at, mut state_at) =
+            (vec![false; n], vec![false; n], vec![false; n]);
+        for &b in boundaries.iter().filter(|b| **b <= total) {
+            snap_at[b as usize] = true;
+            state_at[b as usize] = true;
+            state_at[(b as usize + 1).min(total as usize)] = true;
+            state_at[total as usize] = true;
+        }
+        for &f in fences.iter().filter(|f| **f <= total) {
+            fence_at[f as usize] = true;
+        }
 
         let mut st = LaunchState::fresh(&self.config, launch);
-        let mut run = CaptureRun {
-            outcome: LaunchOutcome::Completed(ExecStats::default()),
-            snapshots: Vec::new(),
-            fences: Vec::new(),
-        };
-        let mut cursor = 0u32;
-        for stop in stops.into_iter().chain(std::iter::once(total)) {
-            if let Some(early) = self.run_block_range(
-                RunCtx {
-                    kernel,
-                    args,
-                    launch,
-                    runtime: &mut *runtime,
-                    tele: &tele,
-                    launch_id: 0,
-                    backend,
-                    prepared: &prepared,
-                },
-                &mut st,
-                cursor,
-                stop,
-                None,
-            ) {
-                run.outcome = early;
-                return run;
+        let mut states: Vec<Option<Arc<BoundaryState>>> = vec![None; n];
+        let mut footprints = Vec::with_capacity(total as usize);
+        self.mem.start_recording();
+        for b in 0..=total {
+            if state_at[b as usize] {
+                states[b as usize] = Some(Arc::new(BoundaryState {
+                    mem: self.mem.clone(),
+                    launch: st.clone(),
+                }));
             }
-            cursor = stop;
-            if boundaries.contains(&stop) {
-                run.snapshots.push((stop, self.snapshot_at(&st, stop)));
-            }
-            if fences.contains(&stop) {
+            if fence_at[b as usize] {
                 if let Some(fp) = self.state_fingerprint(&st, &*runtime) {
-                    run.fences.push((stop, fp));
+                    run.fences.push((b, fp));
                 }
             }
-            if stop == total {
+            if b == total {
                 break;
             }
+            let ctx = RunCtx {
+                kernel,
+                args,
+                launch,
+                runtime: &mut *runtime,
+                tele: &tele,
+                launch_id: 0,
+                backend,
+                prepared: &prepared,
+            };
+            if let Some(early) = self.run_block_range(ctx, &mut st, b, b + 1, None) {
+                run.outcome = early;
+                break;
+            }
+            footprints.push(self.mem.take_footprint());
         }
-        run.outcome = st.complete();
+        self.mem.stop_recording();
+
+        // Walk back from the last block, so the running unions hold exactly
+        // the blocks after each boundary when it is reached. A run that
+        // trapped or hung never reached the post-run state.
+        let last = states[total as usize].clone();
+        let words = self.mem.backed_words().len();
+        let (mut reads, mut writes) = (WordSet::with_words(words), WordSet::with_words(words));
+        let mut compose: Vec<Option<Arc<Composition>>> = vec![None; n];
+        if let Some(last) = &last {
+            for b in (0..total).rev() {
+                if snap_at[b as usize] {
+                    compose[b as usize] = Some(Arc::new(Composition {
+                        next: states[b as usize + 1].clone().expect("kept above"),
+                        last: last.clone(),
+                        later_reads: reads.clone(),
+                        later_writes: writes.clone(),
+                    }));
+                }
+                let fp = &footprints[b as usize];
+                reads.union_chunks(&fp.reads);
+                writes.union_chunks(&fp.writes);
+            }
+        }
+        for b in 0..n {
+            if let (true, Some(state)) = (snap_at[b], states[b].take()) {
+                run.snapshots.push((
+                    b as u32,
+                    Snapshot {
+                        next_block: b as u32,
+                        state,
+                        compose: compose[b].take(),
+                    },
+                ));
+            }
+        }
+        if run.outcome.is_completed() {
+            run.outcome = st.complete();
+        }
         run
     }
 
@@ -453,8 +508,28 @@ impl Device {
     /// the state fingerprint against `expected_fp` (from the reference
     /// capture pass). On a match the remaining blocks provably replay the
     /// fault-free reference, so execution stops and the caller splices the
-    /// reference finals ([`Spliced::Reconverged`]); otherwise the run
-    /// continues to its own completion ([`Spliced::Ran`]).
+    /// reference finals ([`Spliced::Reconverged`]).
+    ///
+    /// Otherwise, when the fence is the block right after the snapshot's and
+    /// the snapshot carries composition data, the run is *composed* instead
+    /// of executed whenever that is provably exact:
+    ///
+    /// * no word where memory differs from the reference after the faulty
+    ///   block is read by a later block, so every later block loads, computes
+    ///   and stores what it did in the reference; and
+    /// * the remaining budget covers the reference suffix's consumption, so
+    ///   the suffix cannot hang (charges are non-negative and a hang fires
+    ///   only when one exceeds the budget left).
+    ///
+    /// The composed memory is the run's own, with every word a later block
+    /// writes set to the reference's final value; stats and per-SM cycles are
+    /// the run's own plus the reference suffix's. Later blocks' hooks are
+    /// skipped, so only a runtime that offers a
+    /// [`HookRuntime::state_fingerprint`] is composed (that contract covers
+    /// it). The result is [`Spliced::Ran`] with the composed memory on the
+    /// device, and [`Device::composed_cycles`] reports the suffix it stood
+    /// in for. Failing either condition, the run continues to its own
+    /// completion.
     ///
     /// A `fence` at or beyond the last block degrades to a plain resume.
     #[allow(clippy::too_many_arguments)]
@@ -468,6 +543,7 @@ impl Device {
         fence: u32,
         expected_fp: u64,
     ) -> Result<Spliced, SnapshotError> {
+        self.composed = None;
         let total = launch.total_blocks();
         if snap.next_block > total {
             return Err(SnapshotError::BlockOutOfRange {
@@ -482,12 +558,8 @@ impl Device {
         let prepared = backend.prepare(kernel, &self.config);
         let tele = self.telemetry.clone();
 
-        self.mem = snap.mem.clone();
-        let mut st = LaunchState {
-            stats: snap.stats.clone(),
-            sm_cycles: snap.sm_cycles.clone(),
-            budget: snap.budget,
-        };
+        self.mem = snap.state.mem.clone();
+        let mut st = snap.state.launch.clone();
         macro_rules! ctx {
             () => {
                 RunCtx {
@@ -508,10 +580,20 @@ impl Device {
             if let Some(early) = self.run_block_range(ctx!(), &mut st, snap.next_block, f, None) {
                 return Ok(Spliced::Ran(early));
             }
-            if self.state_fingerprint(&st, &*runtime) == Some(expected_fp) {
+            let fp = self.state_fingerprint(&st, &*runtime);
+            if fp == Some(expected_fp) {
                 return Ok(Spliced::Reconverged {
-                    executed_cycles: st.stats.work_cycles - snap.stats.work_cycles,
+                    executed_cycles: st.stats.work_cycles - snap.prefix_cycles(),
                 });
+            }
+            let composition = snap
+                .compose
+                .as_deref()
+                .filter(|_| fp.is_some() && f == snap.next_block + 1);
+            if let Some(c) = composition {
+                if self.compose(&mut st, c) {
+                    return Ok(Spliced::Ran(st.complete()));
+                }
             }
             if let Some(early) = self.run_block_range(ctx!(), &mut st, f, total, None) {
                 return Ok(Spliced::Ran(early));
@@ -524,15 +606,41 @@ impl Device {
         Ok(Spliced::Ran(st.complete()))
     }
 
-    /// Snapshot the current launch state at boundary `next_block`.
-    fn snapshot_at(&self, st: &LaunchState, next_block: u32) -> Snapshot {
-        Snapshot {
-            next_block,
-            mem: self.mem.clone(),
-            stats: st.stats.clone(),
-            sm_cycles: st.sm_cycles.clone(),
-            budget: st.budget,
+    /// Work cycles of the reference suffix that the last
+    /// [`Device::resume_spliced`] on this device composed instead of
+    /// executing; `None` when it executed (or spliced) instead. The outcome
+    /// counts these cycles like executed ones.
+    pub fn composed_cycles(&self) -> Option<u64> {
+        self.composed
+    }
+
+    /// Compose the rest of a resumed launch from the reference (see
+    /// [`Device::resume_spliced`]) when that is exact: apply it to memory
+    /// and `st` and return `true`, or leave both untouched and return
+    /// `false`.
+    fn compose(&mut self, st: &mut LaunchState, c: &Composition) -> bool {
+        let (next, last) = (&c.next.launch, &c.last.launch);
+        let suffix_budget = next.budget - last.budget;
+        if st.budget < suffix_budget
+            || self.mem.allocated() != c.next.mem.allocated()
+            || self.mem.differs_within(&c.next.mem, &c.later_reads)
+        {
+            return false;
         }
+        self.mem.copy_words_from(&c.last.mem, &c.later_writes);
+        st.stats += &last.stats;
+        st.stats -= &next.stats;
+        for ((mine, l), n) in st
+            .sm_cycles
+            .iter_mut()
+            .zip(&last.sm_cycles)
+            .zip(&next.sm_cycles)
+        {
+            *mine += l - n;
+        }
+        st.budget -= suffix_budget;
+        self.composed = Some(last.stats.work_cycles - next.stats.work_cycles);
+        true
     }
 
     /// Fingerprint everything that can influence the rest of the launch:
@@ -582,10 +690,11 @@ struct RunCtx<'a> {
 
 /// The launch-wide mutable state threaded through the block loop — exactly
 /// what a [`Snapshot`] captures alongside global memory.
-struct LaunchState {
-    stats: ExecStats,
-    sm_cycles: Vec<u64>,
-    budget: u64,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LaunchState {
+    pub(crate) stats: ExecStats,
+    pub(crate) sm_cycles: Vec<u64>,
+    pub(crate) budget: u64,
 }
 
 impl LaunchState {
@@ -619,7 +728,10 @@ fn finalize(stats: &mut ExecStats, sm_cycles: &[u64]) {
 mod tests {
     use super::*;
     use crate::hooks::NullRuntime;
+    use hauberk_kir::builder::KernelBuilder;
     use hauberk_kir::parser::parse_kernel;
+    use hauberk_kir::stmt::{Hook, HookKind, Stmt};
+    use hauberk_kir::{Expr, HwComponent, Ty};
 
     fn saxpy_kernel() -> KernelDef {
         parse_kernel(
@@ -908,9 +1020,6 @@ mod tests {
     fn register_live_fault_corrupts_between_uses() {
         use crate::fault::{ArmedFault, FaultArm, FaultSite};
         use crate::hooks::RegCorruption;
-        use hauberk_kir::builder::KernelBuilder;
-        use hauberk_kir::stmt::{Hook, HookKind, Stmt};
-        use hauberk_kir::{Expr, HwComponent, Ty};
 
         // a = 5; @fi(site 0, target a); b = 7; @fi(site 1, target b);
         // store(out,0,a); store(out,1,b);
@@ -974,6 +1083,250 @@ mod tests {
         let v = dev.mem.copy_out_i32(outp, 2);
         assert_eq!(v[0], 7, "a was corrupted after b's definition (5^2)");
         assert_eq!(v[1], 7, "b untouched");
+    }
+
+    /// Minimal fault-injection runtime for the composition tests: delivers
+    /// one armed `HookTarget` fault and offers a fingerprint, like the
+    /// campaign runtimes.
+    struct Fi(crate::fault::FaultArm);
+
+    impl HookRuntime for Fi {
+        fn on_hook(&mut self, hook: &hauberk_kir::Hook, ctx: &mut crate::hooks::HookCtx<'_>) {
+            self.0.at_hook(hook.site, ctx);
+        }
+
+        fn state_fingerprint(&self) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    fn fi(fault: Option<(u32, u32)>) -> Fi {
+        use crate::fault::{ArmedFault, FaultArm, FaultSite};
+        Fi(FaultArm::new(fault.map(|(thread, mask)| ArmedFault {
+            site: FaultSite::HookTarget { site: 0 },
+            thread,
+            occurrence: 1,
+            mask,
+        })))
+    }
+
+    /// `let v = init; @fi(site 0, target v);` then `body(v)`.
+    fn fi_kernel(
+        init: impl FnOnce(&KernelBuilder) -> Expr,
+        body: impl FnOnce(&mut KernelBuilder, u32, u32, u32),
+    ) -> KernelDef {
+        let mut b = KernelBuilder::new("compose");
+        let out = b.param("out", Ty::global_ptr(PrimTy::I32));
+        let tid = b.let_("tid", Ty::I32, b.global_thread_id_x());
+        let v = b.let_("v", Ty::I32, init(&b));
+        b.stmt(Stmt::Hook(Hook {
+            kind: HookKind::FiPoint {
+                hw: HwComponent::IAlu,
+            },
+            site: 0,
+            args: vec![],
+            target: Some(v),
+        }));
+        body(&mut b, out, tid, v);
+        b.finish()
+    }
+
+    /// A full launch of `k` over `words` output words on `engine`: outcome
+    /// and output.
+    fn full_launch(
+        engine: crate::config::ExecEngine,
+        k: &KernelDef,
+        launch: &Launch,
+        words: u32,
+        rt: &mut dyn HookRuntime,
+    ) -> (LaunchOutcome, Vec<i32>) {
+        let mut dev = Device::new(DeviceConfig {
+            engine,
+            ..DeviceConfig::small_gpu()
+        });
+        let out = dev.alloc(PrimTy::I32, words);
+        let r = dev.launch(k, &[Value::Ptr(out)], launch, rt);
+        (r, dev.mem.copy_out_i32(out, words))
+    }
+
+    /// Capture `k` fault-free with one boundary at `b`, then resume it with
+    /// `rt` against the fence `b + 1`: the run, whether it was composed,
+    /// and the output.
+    fn compose_resume(
+        engine: crate::config::ExecEngine,
+        k: &KernelDef,
+        launch: &Launch,
+        words: u32,
+        b: u32,
+        rt: &mut dyn HookRuntime,
+    ) -> (Spliced, bool, Vec<i32>, Snapshot) {
+        let mut dev = Device::new(DeviceConfig {
+            engine,
+            ..DeviceConfig::small_gpu()
+        });
+        let out = dev.alloc(PrimTy::I32, words);
+        let args = [Value::Ptr(out)];
+        let cap = dev.capture_launch(k, &args, launch, &mut fi(None), &[b], &[b + 1]);
+        assert!(cap.outcome.is_completed(), "{:?}", cap.outcome);
+        let (snap, (_, fp)) = (cap.snapshots[0].1.clone(), cap.fences[0]);
+        let run = dev
+            .resume_spliced(k, &args, launch, rt, &snap, b + 1, fp)
+            .expect("in-range restore");
+        let composed = dev.composed_cycles().is_some();
+        (run, composed, dev.mem.copy_out_i32(out, words), snap)
+    }
+
+    const ENGINES: [crate::config::ExecEngine; 3] = [
+        crate::config::ExecEngine::TreeWalk,
+        crate::config::ExecEngine::Bytecode,
+        crate::config::ExecEngine::Batch,
+    ];
+
+    /// The budget rule is exact: with the remaining budget equal to the
+    /// reference suffix's consumption the run composes to the full launch's
+    /// `Completed`; one cycle less and it falls back to the full launch's
+    /// `Hang`.
+    #[test]
+    fn composition_budget_edge_matches_full_launches() {
+        // Thread 33 (block 1) loops v = 4 ^ 8 = 12 times instead of 4, so
+        // its block costs more than the reference's; no block reads `out`.
+        let k = fi_kernel(
+            |_| Expr::i32(4),
+            |b, out, tid, v| {
+                let acc = b.let_("acc", Ty::I32, Expr::i32(0));
+                let it = b.local("it", Ty::I32);
+                b.for_range(it, Expr::var(v), |b| {
+                    b.assign(acc, Expr::add(Expr::var(acc), Expr::var(it)));
+                });
+                b.store(Expr::var(out), Expr::var(tid), Expr::var(acc));
+            },
+        );
+        let fault = Some((33, 0b1000));
+        for engine in ENGINES {
+            let big = Launch::grid1d(3, 32);
+            let (reference, _) = full_launch(engine, &k, &big, 96, &mut fi(None));
+            let (faulty, _) = full_launch(engine, &k, &big, 96, &mut fi(fault));
+            let exact = faulty.stats().work_cycles;
+            assert!(
+                exact > reference.stats().work_cycles,
+                "the fault costs cycles"
+            );
+            for (budget, composes) in [(exact, true), (exact - 1, false)] {
+                let launch = big.with_budget(budget);
+                let (run, composed, mem, _) =
+                    compose_resume(engine, &k, &launch, 96, 1, &mut fi(fault));
+                let Spliced::Ran(out) = run else {
+                    panic!("a faulty run never reconverges");
+                };
+                assert_eq!(composed, composes, "{engine:?} budget {budget}");
+                let want = full_launch(engine, &k, &launch, 96, &mut fi(fault));
+                assert_eq!((out.clone(), mem), want, "{engine:?} budget {budget}");
+                assert_eq!(out.is_completed(), composes, "{engine:?}: {out:?}");
+            }
+        }
+    }
+
+    /// A corrupted store into a word a later block writes composes to the
+    /// reference's final value there.
+    #[test]
+    fn later_writes_overwrite_a_corrupted_store() {
+        // Thread 0 stores to index 0 ^ 33 = 33, which block 1 then writes.
+        let k = fi_kernel(
+            |b| b.global_thread_id_x(),
+            |b, out, tid, v| {
+                b.store(
+                    Expr::var(out),
+                    Expr::var(v),
+                    Expr::add(Expr::var(tid), Expr::i32(100)),
+                );
+            },
+        );
+        let launch = Launch::grid1d(2, 32);
+        for engine in ENGINES {
+            let (run, composed, mem, _) =
+                compose_resume(engine, &k, &launch, 64, 0, &mut fi(Some((0, 33))));
+            let Spliced::Ran(out) = run else {
+                panic!("a faulty run never reconverges");
+            };
+            assert!(composed, "{engine:?}: no later block reads `out`");
+            assert_eq!((mem[0], mem[33]), (0, 133), "{engine:?}");
+            let want = full_launch(engine, &k, &launch, 64, &mut fi(Some((0, 33))));
+            assert_eq!((out, mem), want, "{engine:?}");
+        }
+    }
+
+    /// Atomics count as both a read and a write: a later block's atomic on
+    /// a word the faulty block changed forces the fallback.
+    #[test]
+    fn atomics_are_read_and_write_footprints() {
+        // Every thread adds v = 1 to out[0]; thread 0 adds 1 ^ 2 = 3.
+        let k = fi_kernel(
+            |_| Expr::i32(1),
+            |b, out, _, v| b.atomic_add(Expr::var(out), Expr::i32(0), Expr::var(v)),
+        );
+        let launch = Launch::grid1d(2, 32);
+        for engine in ENGINES {
+            let (run, composed, mem, snap) =
+                compose_resume(engine, &k, &launch, 4, 0, &mut fi(Some((0, 2))));
+            // `out` is the device's first allocation: out[0] is word 0.
+            let c = snap
+                .compose
+                .as_deref()
+                .expect("completed reference composes");
+            assert_eq!(c.later_reads.iter().collect::<Vec<_>>(), vec![0]);
+            assert_eq!(c.later_writes.iter().collect::<Vec<_>>(), vec![0]);
+            assert!(!composed, "{engine:?}: block 1 reads the changed word");
+            let Spliced::Ran(out) = run else {
+                panic!("a faulty run never reconverges");
+            };
+            assert_eq!(mem[0], 66, "{engine:?}");
+            let want = full_launch(engine, &k, &launch, 4, &mut fi(Some((0, 2))));
+            assert_eq!((out, mem), want, "{engine:?}");
+        }
+    }
+
+    /// A later block's warp-uniform load (one address for every lane, which
+    /// the batch tier broadcasts) is a read footprint too: it forces the
+    /// fallback when the faulty block changed that word.
+    #[test]
+    fn uniform_loads_are_read_footprints() {
+        // Thread 0 stores v = 7 ^ 1 to out[0]; every other thread stores
+        // out[0] + 1, and block 1's full warp loads out[0] uniformly.
+        let k = fi_kernel(
+            |_| Expr::i32(7),
+            |b, out, tid, v| {
+                b.if_else(
+                    Expr::bin(hauberk_kir::BinOp::Eq, Expr::var(tid), Expr::i32(0)),
+                    |b| b.store(Expr::var(out), Expr::i32(0), Expr::var(v)),
+                    |b| {
+                        let next =
+                            Expr::add(Expr::load(Expr::var(out), Expr::i32(0)), Expr::i32(1));
+                        b.store(Expr::var(out), Expr::var(tid), next);
+                    },
+                );
+            },
+        );
+        let launch = Launch::grid1d(2, 32);
+        for engine in ENGINES {
+            let (run, composed, mem, snap) =
+                compose_resume(engine, &k, &launch, 64, 0, &mut fi(Some((0, 1))));
+            let c = snap
+                .compose
+                .as_deref()
+                .expect("completed reference composes");
+            assert_eq!(
+                c.later_reads.iter().collect::<Vec<_>>(),
+                vec![0],
+                "{engine:?}"
+            );
+            assert!(!composed, "{engine:?}: block 1 reads the changed word");
+            let Spliced::Ran(out) = run else {
+                panic!("a faulty run never reconverges");
+            };
+            assert_eq!((mem[0], mem[63]), (6, 7), "{engine:?}");
+            let want = full_launch(engine, &k, &launch, 64, &mut fi(Some((0, 1))));
+            assert_eq!((out, mem), want, "{engine:?}");
+        }
     }
 
     #[test]

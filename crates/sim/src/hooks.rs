@@ -157,6 +157,17 @@ pub trait HookRuntime {
     /// fingerprint equal. The default `None` opts out: a runtime that cannot
     /// make this guarantee never reconverges and splice attempts fall back
     /// to full re-execution.
+    ///
+    /// Offering a fingerprint also admits *composition*, which skips the
+    /// hooks of every block after a resumed run's first block when those
+    /// blocks provably read what they read in the reference. So a runtime
+    /// that offers one also guarantees: at a hook whose arguments and target
+    /// equal the reference run's, outside the block it was resumed at, the
+    /// callbacks change nothing the launch or a post-run readout sees. The
+    /// fault-injection runtimes meet this whenever the reference run raised
+    /// no alarm (they act only for the armed thread, and otherwise only to
+    /// raise one); checkpointed campaigns refuse references that raise
+    /// alarms.
     fn state_fingerprint(&self) -> Option<u64> {
         None
     }

@@ -483,7 +483,7 @@ impl<'a> WarpExec<'a> {
                 let mut out = vec![Value::I32(0); self.width];
                 for l in lanes(mask, self.width) {
                     let region = self.region(space);
-                    out[l] = region.read(elem, addrs[l])?;
+                    out[l] = Value::from_bits(elem, region.load_word(addrs[l])?);
                 }
                 Ok((out, self.pipe.last_tag))
             }
@@ -612,7 +612,7 @@ impl<'a> WarpExec<'a> {
                 let strict = self.cfg.strict_memory;
                 for l in lanes(mask, self.width) {
                     let region = self.region(space);
-                    let old = region.read(elem, addrs[l])?;
+                    let old = Value::from_bits(elem, region.load_word(addrs[l])?);
                     let new = bin_value(BinOp::Add, old, vv[l], strict)?;
                     region.write(addrs[l], new)?;
                 }

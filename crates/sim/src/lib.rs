@@ -49,6 +49,7 @@ pub mod bytecode;
 pub mod config;
 pub mod device;
 pub mod fault;
+mod footprint;
 pub mod hooks;
 pub mod interp;
 pub mod memory;

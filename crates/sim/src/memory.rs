@@ -19,6 +19,7 @@
 //! * **CPU (strict) mode** — any access at or beyond the allocation bump
 //!   point traps, emulating page protection.
 
+use crate::footprint::{BlockFootprint, Recorder, WordSet};
 use crate::outcome::TrapReason;
 use hauberk_kir::{MemSpace, PrimTy, PtrVal, Value};
 
@@ -43,6 +44,9 @@ pub struct MemRegion {
     /// Allocation bump pointer, in bytes.
     brk: u32,
     strict: bool,
+    /// Kernel-access recorder, armed only while a checkpoint capture runs
+    /// (not observable state: clones start disarmed, equality ignores it).
+    recorder: Recorder,
 }
 
 /// Alignment of fresh allocations, in bytes (matches CUDA's 256-byte
@@ -66,6 +70,7 @@ impl MemRegion {
             capacity: capacity_bytes / 4 * 4,
             brk: 0,
             strict,
+            recorder: Recorder::default(),
         }
     }
 
@@ -156,14 +161,71 @@ impl MemRegion {
         }
     }
 
-    /// Write the raw 32-bit word at `addr`.
+    /// A kernel load: [`MemRegion::read_word`], seen by the capture's
+    /// footprint recorder. Every engine loads through this.
+    pub(crate) fn load_word(&mut self, addr: u32) -> Result<u32, TrapReason> {
+        match self.resolve(addr)? {
+            Slot::Word(i) => {
+                self.recorder.read(i);
+                Ok(self.words[i])
+            }
+            Slot::Unallocated(a) => Ok(a.wrapping_mul(2654435761).rotate_left(7)),
+        }
+    }
+
+    /// Write the raw 32-bit word at `addr` (kernel stores land here, so the
+    /// capture's footprint recorder sees them).
     pub fn write_word(&mut self, addr: u32, w: u32) -> Result<(), TrapReason> {
         match self.resolve(addr)? {
             Slot::Word(i) => {
+                self.recorder.write(i);
                 self.words[i] = w;
                 Ok(())
             }
             Slot::Unallocated(_) => Ok(()), // dropped
+        }
+    }
+
+    /// Start recording kernel loads and stores of backed words.
+    pub(crate) fn start_recording(&mut self) {
+        self.recorder.arm(self.words.len());
+    }
+
+    /// Stop recording.
+    pub(crate) fn stop_recording(&mut self) {
+        self.recorder.disarm();
+    }
+
+    /// The words loaded and stored since recording started or since the
+    /// last call.
+    pub(crate) fn take_footprint(&mut self) -> BlockFootprint {
+        self.recorder.take_block()
+    }
+
+    /// Whether some backed word that differs between `self` and `other` is
+    /// in `set`. The regions must share their extent.
+    pub(crate) fn differs_within(&self, other: &MemRegion, set: &WordSet) -> bool {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        self.words
+            .chunks(64)
+            .zip(other.words.chunks(64))
+            .enumerate()
+            .any(|(c, (a, b))| {
+                a != b && {
+                    let diff = a
+                        .iter()
+                        .zip(b)
+                        .enumerate()
+                        .fold(0u64, |m, (j, (x, y))| m | (((x != y) as u64) << j));
+                    diff & set.chunk(c) != 0
+                }
+            })
+    }
+
+    /// Give every word of `set` its value in `src` (same extent).
+    pub(crate) fn copy_words_from(&mut self, src: &MemRegion, set: &WordSet) {
+        for i in set.iter() {
+            self.words[i] = src.words[i];
         }
     }
 

@@ -6,7 +6,7 @@
 //! order — so everything before the target block is byte-for-byte identical
 //! across the whole stratum. A [`Snapshot`] captures the launch's complete
 //! mutable state at a block boundary (global memory with the lazy-extent
-//! trick preserved, cumulative [`ExecStats`], per-SM cycle tallies, the
+//! trick preserved, cumulative [`crate::ExecStats`], per-SM cycle tallies, the
 //! remaining hang budget) so an injection run can *restore* it and start
 //! executing at the target block instead of from thread zero.
 //!
@@ -19,7 +19,7 @@
 //!    what [`Snapshot`] stores.
 //! 2. **Snapshots are engine-neutral.** The three [`crate::ExecBackend`]
 //!    tiers are observationally equivalent — same memory, same
-//!    [`ExecStats`], same cycle tallies at every block boundary — and a
+//!    [`crate::ExecStats`], same cycle tallies at every block boundary — and a
 //!    snapshot holds only that observable state, never a per-launch
 //!    compilation artifact. So a snapshot captured on one tier restores on
 //!    any other and the resumed run is bit-identical to a restore on the
@@ -39,9 +39,34 @@
 //! would replay the reference exactly, so the run stops there and the caller
 //! reuses the reference's finals — turning "skip the prefix" into "execute
 //! only the corrupted window" for masked faults.
+//!
+//! A run that does not reconverge can still skip its suffix by *block-local
+//! composition*, with the block as FastFlip's section. The capture pass
+//! records every block's word-level footprint, so a snapshot at boundary `b`
+//! also knows the reference state after block `b` and after the last block,
+//! and which backed words blocks `b + 1..` read and write. Two facts make
+//! composing exact:
+//!
+//! * **Later blocks see only what they read.** A block's loads, stores,
+//!   addresses and charges are a function of the words it reads (plus its
+//!   geometry and the kernel arguments). If no word where the faulty run's
+//!   memory differs from the reference after block `b` is read by a later
+//!   block, every later block replays the reference: its stores land where
+//!   and as they did there, so those words take the reference's final
+//!   values, and its cycles add the reference's suffix cycles to the same
+//!   SMs.
+//! * **The budget is the only other carried state.** Charges are
+//!   non-negative and a hang fires only when a charge exceeds the budget
+//!   left, so a suffix whose reference consumption fits in the remaining
+//!   budget cannot hang.
+//!
+//! Hooks in later blocks are skipped, which the
+//! [`crate::HookRuntime::state_fingerprint`] contract covers.
 
+use crate::device::LaunchState;
+use crate::footprint::WordSet;
 use crate::memory::MemRegion;
-use crate::stats::ExecStats;
+use std::sync::Arc;
 
 /// Full device state at a block boundary: everything
 /// [`crate::device::Device::resume_launch`] needs to continue the launch
@@ -53,14 +78,35 @@ use crate::stats::ExecStats;
 pub struct Snapshot {
     /// The linear block id the resumed launch executes first.
     pub(crate) next_block: u32,
-    /// Global memory, lazily-backed extent and all.
+    /// The launch state at the boundary.
+    pub(crate) state: Arc<BoundaryState>,
+    /// What composing a resumed run needs; `None` for the post-run boundary
+    /// and for snapshots of a reference that trapped or hung.
+    pub(crate) compose: Option<Arc<Composition>>,
+}
+
+/// The launch's mutable state at a block boundary: global memory (lazily
+/// backed extent and all) plus the stats, per-SM tallies and budget.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BoundaryState {
     pub(crate) mem: MemRegion,
-    /// Cumulative execution statistics at the boundary.
-    pub(crate) stats: ExecStats,
-    /// Per-SM cycle tallies (the kernel-time max is taken at finalize).
-    pub(crate) sm_cycles: Vec<u64>,
-    /// Remaining hang budget.
-    pub(crate) budget: u64,
+    pub(crate) launch: LaunchState,
+}
+
+/// Reference data for composing a resumed run that starts at block `b`
+/// without executing blocks `b + 1..`: the reference state after block `b`
+/// and after the last block, and the backed words blocks `b + 1..` read and
+/// write. The states are shared between the snapshots of one capture.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Composition {
+    /// Reference state after block `b`.
+    pub(crate) next: Arc<BoundaryState>,
+    /// Reference state after the last block (stats not finalized).
+    pub(crate) last: Arc<BoundaryState>,
+    /// Words some block after `b` loads (atomics included).
+    pub(crate) later_reads: WordSet,
+    /// Words some block after `b` stores (atomics included).
+    pub(crate) later_writes: WordSet,
 }
 
 impl Snapshot {
@@ -71,7 +117,7 @@ impl Snapshot {
 
     /// Work cycles already simulated at the boundary — what a resume skips.
     pub fn prefix_cycles(&self) -> u64 {
-        self.stats.work_cycles
+        self.state.launch.stats.work_cycles
     }
 }
 
@@ -130,8 +176,10 @@ pub enum Spliced {
         executed_cycles: u64,
     },
     /// No splice — divergent at the fence, trapped/hung before it, or the
-    /// fence sat at/after the last block — and the run executed to its own
-    /// completion.
+    /// fence sat at/after the last block. The run executed to its own
+    /// completion, or composed the rest from the reference
+    /// ([`crate::device::Device::composed_cycles`]); either way the outcome
+    /// and the device memory are the full launch's.
     Ran(crate::outcome::LaunchOutcome),
 }
 

@@ -2,7 +2,7 @@
 //! loop/non-loop attribution behind the paper's Fig. 4.
 
 use std::fmt;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, SubAssign};
 
 /// Operation classes for the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,6 +147,23 @@ impl AddAssign<&ExecStats> for ExecStats {
     }
 }
 
+impl SubAssign<&ExecStats> for ExecStats {
+    fn sub_assign(&mut self, rhs: &ExecStats) {
+        self.kernel_cycles -= rhs.kernel_cycles;
+        self.work_cycles -= rhs.work_cycles;
+        self.loop_cycles -= rhs.loop_cycles;
+        for i in 0..5 {
+            self.class_counts[i] -= rhs.class_counts[i];
+        }
+        self.paired_ops -= rhs.paired_ops;
+        self.mem_segments -= rhs.mem_segments;
+        self.blocks -= rhs.blocks;
+        self.warps -= rhs.warps;
+        self.syncs -= rhs.syncs;
+        self.hooks -= rhs.hooks;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +204,8 @@ mod tests {
         assert_eq!(a.work_cycles, 20);
         assert_eq!(a.class_counts, [2, 4, 6, 8, 10]);
         assert_eq!(a.total_ops(), 30);
+        a -= &b;
+        assert_eq!(a, b, "sub_assign undoes add_assign");
     }
 
     #[test]

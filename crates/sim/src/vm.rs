@@ -1049,11 +1049,11 @@ impl<'a> VmExec<'a> {
                             ) as u32;
                             self.stats.mem_segments += 1;
                             self.charge(OpClass::Mem, deps)?;
-                            let region: &MemRegion = match space {
+                            let region: &mut MemRegion = match space {
                                 MemSpace::Global => self.global,
                                 MemSpace::Shared => self.shared,
                             };
-                            let word = region.read_word(addr)? & vmask;
+                            let word = region.load_word(addr)? & vmask;
                             let db = d * width;
                             self.regs[db..db + width].fill(word);
                             broadcast = true;
@@ -1068,7 +1068,7 @@ impl<'a> VmExec<'a> {
                         };
                         let db = d * width;
                         for l in lanes(mask, width) {
-                            self.regs[db + l] = region.read_word(self.addrs[l])? & vmask;
+                            self.regs[db + l] = region.load_word(self.addrs[l])? & vmask;
                         }
                     }
                     self.producer[d] = self.pipe.last_tag;
@@ -1120,7 +1120,7 @@ impl<'a> VmExec<'a> {
                     let (elem, vb) = (*elem, rv * width);
                     for l in lanes(mask, width) {
                         let addr = self.addrs[l];
-                        let old = Value::from_bits(elem, region.read_word(addr)?);
+                        let old = Value::from_bits(elem, region.load_word(addr)?);
                         let add = Value::from_bits(elem, self.regs[vb + l]);
                         let new = bin_value(BinOp::Add, old, add, strict)?;
                         region.write_word(addr, new.to_bits())?;

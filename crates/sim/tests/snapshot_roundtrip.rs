@@ -1,15 +1,19 @@
 //! Snapshot round-trip properties: capture → restore → re-capture must be
 //! bit-identical on every engine tier, fault-free resumes must reconverge at
 //! every fence, a snapshot must restore on any engine exactly as on the one
-//! that captured it, and an out-of-range snapshot must refuse to restore —
+//! that captured it (a faulty resume composed from its footprints included,
+//! which must equal the full faulty launch), and an out-of-range snapshot
+//! must refuse to restore —
 //! the invariants `crate::snapshot` documents, checked over
 //! property-generated kernels and launch geometries.
 
 use hauberk_kir::builder::KernelBuilder;
-use hauberk_kir::{BinOp, Expr, KernelDef, PrimTy, Ty, Value};
+use hauberk_kir::stmt::{Hook, HookKind, Stmt};
+use hauberk_kir::{BinOp, Expr, HwComponent, KernelDef, PrimTy, Ty, Value};
+use hauberk_sim::fault::FaultArm;
 use hauberk_sim::{
-    Device, DeviceConfig, ExecEngine, Launch, LaunchOutcome, NullRuntime, Snapshot, SnapshotError,
-    Spliced,
+    ArmedFault, Device, DeviceConfig, ExecEngine, FaultSite, HookCtx, HookRuntime, Launch,
+    LaunchOutcome, NullRuntime, Snapshot, SnapshotError, Spliced,
 };
 use proptest::prelude::*;
 
@@ -38,7 +42,8 @@ fn gen_kernel() -> impl Strategy<Value = GenKernel> {
 
 /// Materialize the recipe: `out[tid] = sum over the loop of scaled input
 /// reads`, with an optional thread-divergent guard so warp reconvergence is
-/// exercised too.
+/// exercised too. A fault-injection hook (site 0) targets the accumulator
+/// after the loop; [`NullRuntime`] ignores it.
 fn materialize(g: &GenKernel) -> KernelDef {
     let mut b = KernelBuilder::new("snapshot_prop");
     let out = b.param("out", Ty::global_ptr(PrimTy::F32));
@@ -79,8 +84,41 @@ fn materialize(g: &GenKernel) -> KernelDef {
             );
         }
     });
+    b.stmt(Stmt::Hook(Hook {
+        kind: HookKind::FiPoint {
+            hw: HwComponent::Fpu,
+        },
+        site: 0,
+        args: vec![],
+        target: Some(acc),
+    }));
     b.store(Expr::var(out), Expr::var(tid), Expr::var(acc));
     b.finish()
+}
+
+/// Flips bit 22 of one thread's accumulator at hook site 0, and offers a
+/// fingerprint like the campaign runtimes, so a resumed run may compose.
+struct Fi(FaultArm);
+
+impl Fi {
+    fn new(thread: u32) -> Self {
+        Fi(FaultArm::new(Some(ArmedFault {
+            site: FaultSite::HookTarget { site: 0 },
+            thread,
+            occurrence: 1,
+            mask: 1 << 22,
+        })))
+    }
+}
+
+impl HookRuntime for Fi {
+    fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx<'_>) {
+        self.0.at_hook(hook.site, ctx);
+    }
+
+    fn state_fingerprint(&self) -> Option<u64> {
+        Some(0)
+    }
 }
 
 struct Setup {
@@ -120,8 +158,10 @@ fn out_bits(s: &Setup) -> Vec<u32> {
 
 /// Everything observable about one restore of `snap` on `engine`: the
 /// splice verdict (reconverged work cycles, or the launch outcome with its
-/// stats) and the output memory bits. `fence: None` restores to completion
-/// with `resume_launch`; `Some((fence, fp))` splices with `resume_spliced`.
+/// stats), the output memory bits, and the composed suffix cycles.
+/// `fence: None` restores to completion with `resume_launch`;
+/// `Some((fence, fp))` splices with `resume_spliced`. `fault` arms a fault
+/// for that global thread; `None` restores fault-free.
 fn restore_on(
     engine: ExecEngine,
     g: &GenKernel,
@@ -129,16 +169,25 @@ fn restore_on(
     launch: &Launch,
     snap: &Snapshot,
     fence: Option<(u32, u64)>,
-) -> (Result<u64, LaunchOutcome>, Vec<u32>) {
+    fault: Option<u32>,
+) -> (Result<u64, LaunchOutcome>, Vec<u32>, Option<u64>) {
     let mut s = setup(engine, g, launch);
     let (dev, args) = (&mut s.dev, &s.args);
+    let mut fi;
+    let rt: &mut dyn HookRuntime = match fault {
+        Some(thread) => {
+            fi = Fi::new(thread);
+            &mut fi
+        }
+        None => &mut NullRuntime,
+    };
     let verdict = match fence {
         None => Err(dev
-            .resume_launch(kernel, args, launch, &mut NullRuntime, snap)
+            .resume_launch(kernel, args, launch, rt, snap)
             .expect("in-range restore")),
         Some((f, fp)) => {
             match dev
-                .resume_spliced(kernel, args, launch, &mut NullRuntime, snap, f, fp)
+                .resume_spliced(kernel, args, launch, rt, snap, f, fp)
                 .expect("in-range restore")
             {
                 Spliced::Reconverged { executed_cycles } => Ok(executed_cycles),
@@ -146,7 +195,8 @@ fn restore_on(
             }
         }
     };
-    (verdict, out_bits(&s))
+    let composed = s.dev.composed_cycles();
+    (verdict, out_bits(&s), composed)
 }
 
 proptest! {
@@ -252,13 +302,17 @@ proptest! {
 
     /// Snapshots are engine-neutral: a snapshot captured on engine A and
     /// restored on engine B — to completion (`resume_launch`) or up to a
-    /// fence (`resume_spliced`) — gives the same outcome, output bits, stats
-    /// and fence reconvergence as the same restore on A, for every ordered
-    /// engine pair.
+    /// fence (`resume_spliced`), fault-free or with a fault in the resumed
+    /// block — gives the same outcome, output bits, stats, fence
+    /// reconvergence and composition as the same restore on A, for every
+    /// ordered engine pair. So footprints captured on one engine compose on
+    /// every other, and a composed faulty resume equals the full faulty
+    /// launch.
     #[test]
     fn cross_engine_restore_matches_capturing_engine(
         g in gen_kernel(),
         blocks in 2u32..5,
+        lane in 0u32..16,
     ) {
         let launch = Launch::grid1d(blocks, 16).with_budget(400_000);
         let boundaries: Vec<u32> = (0..blocks).collect();
@@ -271,20 +325,43 @@ proptest! {
             );
             for (b, snap) in &cap.snapshots {
                 // Restore to completion, and splice at the fence right after
-                // `b` where there is one.
+                // `b` where there is one; fault-free, then with a fault in
+                // block `b`.
                 let next = cap.fences.iter().find(|(f, _)| *f == b + 1).copied();
-                for fence in std::iter::once(None).chain(next.map(Some)) {
-                    let home = restore_on(src, &g, &kernel, &launch, snap, fence);
-                    if fence.is_some() {
-                        prop_assert!(home.0.is_ok(), "fault-free restore reconverges");
-                    }
-                    for dst in ENGINES {
-                        let away = restore_on(dst, &g, &kernel, &launch, snap, fence);
-                        prop_assert_eq!(
-                            &away, &home,
-                            "{} -> {} at boundary {}, fence {:?}",
-                            src.name(), dst.name(), b, fence
-                        );
+                let thread = b * 16 + lane;
+                for fault in [None, Some(thread)] {
+                    for fence in std::iter::once(None).chain(next.map(Some)) {
+                        let home = restore_on(src, &g, &kernel, &launch, snap, fence, fault);
+                        match (fence, fault) {
+                            (Some(_), None) => {
+                                prop_assert!(home.0.is_ok(), "fault-free restore reconverges");
+                            }
+                            (Some(_), Some(_)) => {
+                                // No block reads another's output, so a
+                                // faulty resume always composes.
+                                prop_assert!(home.2.is_some(), "faulty resume composes");
+                            }
+                            (None, _) => prop_assert!(home.2.is_none(), "plain resume"),
+                        }
+                        if fault.is_some() {
+                            let mut full = setup(src, &g, &launch);
+                            let out = full.dev.launch(
+                                &kernel, &full.args, &launch, &mut Fi::new(thread),
+                            );
+                            prop_assert_eq!(
+                                (&home.0, &home.1),
+                                (&Err(out), &out_bits(&full)),
+                                "faulty resume at boundary {} vs full launch", b
+                            );
+                        }
+                        for dst in ENGINES {
+                            let away = restore_on(dst, &g, &kernel, &launch, snap, fence, fault);
+                            prop_assert_eq!(
+                                &away, &home,
+                                "{} -> {} at boundary {}, fence {:?}, fault {:?}",
+                                src.name(), dst.name(), b, fence, fault
+                            );
+                        }
                     }
                 }
             }

@@ -11,7 +11,10 @@
 //! shared snapshot and executes only from its target block
 //! ([`hauberk_sim::Device::resume_spliced`]); when its post-block state
 //! fingerprints equal to the reference at the fence, the run stops there and
-//! reuses the reference finals (FastFlip-style tail splicing).
+//! reuses the reference finals (FastFlip-style tail splicing). When it does
+//! not, but no later block reads a word the target block left different
+//! from the reference, the device *composes* the suffix from the reference
+//! instead of executing it: only the target block runs.
 //!
 //! ## Eligibility
 //!
@@ -31,6 +34,31 @@
 //! delivery cycle, alarms): a spliced run only reconverges when its runtime
 //! fingerprint matches the (alarm-free) reference, so its own control block
 //! is already final at the fence.
+//!
+//! ## Runtime inertness (the composition contract)
+//!
+//! A composed run skips every hook of the blocks after its target block.
+//! That is exact for the two runtimes the store uses, [`FiRuntime`] and
+//! [`FiFtRuntime`], because:
+//!
+//! * the armed thread lives in the target block, so fault delivery, the
+//!   delivery cycle and register corruption all happen there or never;
+//! * a composed run's later blocks read exactly the reference's words, so
+//!   their hooks see the reference's arguments, and with those the FT
+//!   dispatch mutates the control block only on a raise;
+//! * the store refuses references that raise alarms (above), so no later
+//!   hook would have raised.
+//!
+//! The runtime's state after the target block is therefore its final state,
+//! as the [`HookRuntime::state_fingerprint`] contract requires of runtimes
+//! that offer a fingerprint.
+//!
+//! ## The cycle ledger
+//!
+//! The campaign's `sim_cycles` counts the simulated-GPU work behind its
+//! outcomes: a composed run counts `work_cycles − prefix`, as if its suffix
+//! had run. [`CheckpointStats::executed_cycles`] counts what the host
+//! executed: the target block alone for a composed run.
 
 use crate::campaign::CampaignEnv;
 use hauberk::control::ControlBlock;
@@ -76,8 +104,14 @@ pub(crate) struct CheckpointStore {
     /// Injections that reconverged at their fence and spliced the reference
     /// tail instead of executing it.
     pub(crate) spliced: AtomicU64,
-    /// Work cycles actually simulated by the resumed injections (prefixes
-    /// skipped, spliced tails not executed).
+    /// Injections whose suffix was composed from the reference instead of
+    /// executed.
+    pub(crate) composed: AtomicU64,
+    /// Injections that passed their fence unspliced and uncomposed, so their
+    /// suffix executed.
+    pub(crate) fell_back: AtomicU64,
+    /// Work cycles the host actually simulated for the resumed injections
+    /// (prefixes skipped, spliced and composed suffixes not executed).
     pub(crate) executed_cycles: AtomicU64,
 }
 
@@ -188,6 +222,8 @@ impl CheckpointStore {
             reference_cycles,
             injections: AtomicU64::new(0),
             spliced: AtomicU64::new(0),
+            composed: AtomicU64::new(0),
+            fell_back: AtomicU64::new(0),
             executed_cycles: AtomicU64::new(0),
         })
     }
@@ -256,12 +292,23 @@ impl CheckpointStore {
                 }
             }
             Spliced::Ran(outcome) => {
-                let executed = outcome
+                // The campaign's cycle count is the simulated-GPU work of the
+                // outcome, composed suffix included; the store's ledger
+                // counts only what the host executed.
+                let work = outcome
                     .stats()
                     .work_cycles
                     .saturating_sub(snap.prefix_cycles());
-                self.executed_cycles.fetch_add(executed, Ordering::Relaxed);
-                env.add_sim_cycles(executed);
+                env.add_sim_cycles(work);
+                let composed = dev.composed_cycles();
+                if composed.is_some() {
+                    self.composed.fetch_add(1, Ordering::Relaxed);
+                } else if fence != u32::MAX && outcome.stats().blocks > u64::from(boundary) {
+                    // The target block completed: the run went on past it.
+                    self.fell_back.fetch_add(1, Ordering::Relaxed);
+                }
+                self.executed_cycles
+                    .fetch_add(work - composed.unwrap_or(0), Ordering::Relaxed);
                 let output = outcome
                     .is_completed()
                     .then(|| prog.read_output(&dev, &self.args));
@@ -302,8 +349,18 @@ pub struct CheckpointStats {
     /// Injections that reconverged at their fence and spliced the reference
     /// tail.
     pub spliced: u64,
+    /// Injections whose suffix was composed from the reference: only the
+    /// faulty block executed.
+    pub composed: u64,
+    /// Injections that had a fence and passed it neither spliced nor
+    /// composed (a later block reads a word the fault changed, or the budget
+    /// left cannot cover the reference suffix), so their suffix executed.
+    pub fell_back: u64,
     /// Work cycles of the one shared fault-free reference run.
     pub reference_cycles: u64,
-    /// Work cycles actually simulated by the resumed injections.
+    /// Work cycles the host actually executed for the resumed injections:
+    /// from the target block to the fence for a spliced run, the target
+    /// block alone for a composed one, everything after the prefix
+    /// otherwise.
     pub executed_cycles: u64,
 }

@@ -211,11 +211,13 @@ pub struct ShardedCampaignResult {
     /// it lives on the struct and stays out of [`Self::summary_json`] /
     /// [`Self::summarize`], whose bytes are resume-invariant.
     pub profile: PhaseProfile,
-    /// Work cycles this process actually simulated (golden/reference runs
-    /// excluded for plain campaigns, included once for checkpointed ones;
-    /// journal-replayed units simulated nothing). Observational, like the
-    /// profile: checkpointing changes this number and nothing in the
-    /// summaries.
+    /// Simulated-GPU work behind this process's outcomes, in work cycles
+    /// (golden/reference runs excluded for plain campaigns, included once for
+    /// checkpointed ones; skipped prefixes and spliced tails excluded;
+    /// journal-replayed units count nothing). A composed suffix counts as if
+    /// it had run: the cycles the host actually executed are
+    /// [`CheckpointStats::executed_cycles`]. Observational, like the profile:
+    /// checkpointing changes this number and nothing in the summaries.
     pub sim_cycles: u64,
     /// Checkpoint savings ledger, when the campaign ran from a shared
     /// fault-free checkpoint (struct-only, never serialized).
@@ -691,6 +693,8 @@ pub fn run_orchestrated_campaign_traced(
             boundaries: s.boundaries(),
             injections: s.injections.load(std::sync::atomic::Ordering::Relaxed),
             spliced: s.spliced.load(std::sync::atomic::Ordering::Relaxed),
+            composed: s.composed.load(std::sync::atomic::Ordering::Relaxed),
+            fell_back: s.fell_back.load(std::sync::atomic::Ordering::Relaxed),
             reference_cycles: s.reference_cycles,
             executed_cycles: s.executed_cycles.load(std::sync::atomic::Ordering::Relaxed),
         }),

@@ -1,8 +1,10 @@
 //! Differential checkpoint suite: fault-free prefix checkpointing must be an
 //! **invisible** optimization. For property-generated kernels — with barrier
-//! sections, thread-divergent guards, and divergent loop trip counts — a
-//! checkpointed campaign must produce byte-identical observables to full
-//! re-execution:
+//! sections, thread-divergent guards, divergent loop trip counts, and blocks
+//! that read the previous block's output — a checkpointed campaign must
+//! produce byte-identical observables to full re-execution, whether a run
+//! splices, composes its suffix from the reference, or falls back to
+//! executing it:
 //!
 //!   * the per-experiment CSV (one outcome per injection, so any divergence
 //!     in outputs, hook logs, or alarms shows up as a changed record),
@@ -39,22 +41,27 @@ const ENGINES: [ExecEngine; 3] = [
 
 /// Recipe for one generated kernel: number of barrier-delimited phases,
 /// per-phase loop trip count, whether a thread-divergent guard scales the
-/// accumulator, and whether the loop bound itself diverges per thread.
+/// accumulator, whether the loop bound itself diverges per thread, and
+/// whether each block reads the previous block's `out` words (so a fault
+/// that changes a block's output is read later and composition must fall
+/// back to executing the suffix).
 #[derive(Debug, Clone)]
 struct GenKernel {
     phases: u8,
     trip: u8,
     guarded: bool,
     divergent_trip: bool,
+    chained: bool,
 }
 
 fn gen_kernel() -> impl Strategy<Value = GenKernel> {
-    (1u8..4, 1u8..6, any::<bool>(), any::<bool>()).prop_map(
-        |(phases, trip, guarded, divergent_trip)| GenKernel {
+    (1u8..4, 1u8..6, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+        |(phases, trip, guarded, divergent_trip, chained)| GenKernel {
             phases,
             trip,
             guarded,
             divergent_trip,
+            chained,
         },
     )
 }
@@ -85,6 +92,13 @@ fn render(g: &GenKernel) -> String {
         if g.guarded {
             body.push_str("    if (tid % 3 < 1) {\n        acc = acc * 1.0625;\n    }\n");
         }
+    }
+    if g.chained {
+        body.push_str(
+            "    if (block_idx_x() > 0) {\n\
+             \x20       acc = acc + load(out, tid - block_dim_x()) * 0.25;\n\
+             \x20   }\n",
+        );
     }
     body.push_str("    store(out, tid, acc);\n");
     format!("kernel ckpt_prop(out: *global f32, x: *global f32, n: i32) {{\n{body}}}\n")
@@ -220,6 +234,7 @@ fn checkpointed_coverage_preserves_alarms_and_hook_logs() {
         trip: 4,
         guarded: true,
         divergent_trip: true,
+        chained: false,
     };
     let prog = program(&g);
     for engine in ENGINES {
@@ -255,6 +270,7 @@ fn boundary_faults_compose_across_all_sections() {
         trip: 3,
         guarded: false,
         divergent_trip: false,
+        chained: false,
     };
     let prog = program(&g);
     let sections = hauberk_kir::partition_sections(&prog.build_kernel());
@@ -286,5 +302,57 @@ fn boundary_faults_compose_across_all_sections() {
             sec0, sec,
             "section composition differs between {e0:?} and {engine:?}"
         );
+    }
+}
+
+/// Composition and its fallback are both exercised, and both invisible: the
+/// plain recipe's faulty runs compose (no block reads another block's
+/// output), while the chained recipe's blocks read the previous block's
+/// `out` words, so a fault that changes a block's output must fall back to
+/// executing the suffix. Every engine at 1 and 4 threads stays byte-identical
+/// to full re-execution.
+#[test]
+fn composition_and_fallback_are_byte_identical() {
+    for chained in [false, true] {
+        let g = GenKernel {
+            phases: 2,
+            trip: 3,
+            guarded: true,
+            divergent_trip: false,
+            chained,
+        };
+        let prog = program(&g);
+        let (mut composed, mut fell_back) = (0, 0);
+        for engine in ENGINES {
+            for threads in [1usize, 4] {
+                rayon::set_thread_count(threads);
+                let (_, f_csv, f_json, f_text) =
+                    run(&prog, CampaignKind::Sensitivity, engine, false);
+                let (ck, c_csv, c_json, c_text) =
+                    run(&prog, CampaignKind::Sensitivity, engine, true);
+                assert_eq!(
+                    f_csv, c_csv,
+                    "CSV differs on {engine:?}/{threads} for {g:?}"
+                );
+                assert_eq!(
+                    f_json, c_json,
+                    "JSON differs on {engine:?}/{threads} for {g:?}"
+                );
+                assert_eq!(
+                    f_text, c_text,
+                    "text differs on {engine:?}/{threads} for {g:?}"
+                );
+                check_engaged(&g, &ck);
+                let stats = ck.checkpoint.as_ref().expect("store was built");
+                composed += stats.composed;
+                fell_back += stats.fell_back;
+            }
+        }
+        if chained {
+            assert!(fell_back > 0, "no run fell back for {g:?}");
+        } else {
+            assert!(composed > 0, "no run composed for {g:?}");
+            assert_eq!(fell_back, 0, "nothing is read later for {g:?}");
+        }
     }
 }
