@@ -23,6 +23,7 @@
 //! ```
 
 use hauberk_bench::cli::process_args;
+use hauberk_bench::report::quartiles;
 use hauberk_swifi::campaign::{CampaignConfig, CampaignKind};
 use hauberk_swifi::orchestrator::{run_orchestrated_campaign, OrchestratorConfig};
 use hauberk_swifi::plan::PlanConfig;
@@ -33,13 +34,6 @@ use std::time::Instant;
 /// Interleaved full / checkpointed rounds per benchmark (the order
 /// alternates, so host drift hits both sides alike).
 const CHECKPOINT_ROUNDS: usize = 7;
-
-/// Median and quartiles of `v` (nearest rank).
-fn quartiles(v: &mut [f64]) -> [f64; 3] {
-    v.sort_by(f64::total_cmp);
-    let at = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
-    [at(0.25), at(0.5), at(0.75)]
-}
 
 /// Wall-time summary (seconds) of one side of the checkpoint comparison.
 fn wall_json(times: &mut [f64]) -> Json {

@@ -4,11 +4,12 @@
 //! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|all]
 //!         [--paper]     use larger problem sizes / experiment counts
 //!         [--json]      one JSON document instead of text sections
-//!         [--engine E]  execution engine: tree-walk, bytecode, or batch (default)
 //!         [--threads N] pin the campaign worker-thread count (0 = one per core)
 //! ```
 //!
-//! An unknown figure, flag or engine, or a malformed value, exits 2.
+//! Every figure runs on the batch engine (results are identical on every
+//! engine; `campaign --engine` picks one for a single campaign). An unknown
+//! figure or flag, or a malformed value, exits 2.
 
 use hauberk_bench::cli::{parse_args, CliError};
 use hauberk_bench::report::{Emitter, Table};
@@ -35,21 +36,8 @@ fn main() {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let local = [
-        ("--paper", false),
-        ("--json", false),
-        ("--engine", true),
-        ("--threads", true),
-    ];
+    let local = [("--paper", false), ("--json", false), ("--threads", true)];
     let args = parse_args(args, &[], &local)?;
-    if let Some(v) = args.value("--engine") {
-        let e = hauberk_sim::ExecEngine::parse(v).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown engine `{v}` (try tree-walk, bytecode, or batch)"
-            ))
-        })?;
-        hauberk_sim::set_default_engine(e);
-    }
     if let Some(n) = args.parse("--threads")? {
         rayon::set_thread_count(n);
     }

@@ -1,8 +1,8 @@
-//! `interp_bench` — measure all three execution engines (tree walker,
-//! bytecode VM, batched lane-vector VM) on the simulator's standard hot-path
-//! kernel (the same FP loop `telemetry_overhead` and `sim_throughput` use)
-//! and on a fault-free launch of every suite program at quick scale, and
-//! record the pairwise speedups the compiled tiers deliver per launch.
+//! `interp_bench` — measure every engine setting (the tree walker, and the
+//! VM with regions off, `bytecode`, and on, `batch`) on the simulator's
+//! standard hot-path kernel (the same FP loop `telemetry_overhead` and
+//! `sim_throughput` use) and on a fault-free launch of every suite program
+//! at quick scale, and record the pairwise speedups per launch.
 //!
 //! Also verifies, on every run, that all engines produce identical
 //! `ExecStats` and identical output memory — a cheap standing differential
@@ -13,6 +13,11 @@
 //! `FiRuntime::new(None)` against `NullRuntime` (asserting identical stats
 //! and output), and records the ratio as `fi_over_null`.
 //!
+//! Every time is the median and `[q1, q3]` of the per-round mean over
+//! [`ROUNDS`] interleaved rounds. A suite program's five contenders (three
+//! engines, then the FI build under each runtime) share every round, so
+//! host drift shows as spread rather than moving one contender alone.
+//!
 //! ```text
 //! interp_bench [--iters N] [--out PATH]
 //! ```
@@ -21,6 +26,7 @@ use hauberk::builds::{build, BuildVariant};
 use hauberk::program::HostProgram;
 use hauberk::runtime::FiRuntime;
 use hauberk_bench::cli::process_args;
+use hauberk_bench::report::quartiles;
 use hauberk_benchmarks::{all_programs, ProblemScale};
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
@@ -32,9 +38,8 @@ use std::time::{Duration, Instant};
 
 const ENGINES: [ExecEngine; 3] = ExecEngine::ALL;
 
-/// Interleaved rounds per measurement; each engine keeps its fastest round,
-/// so machine drift cancels instead of biasing whichever engine ran last.
-const ROUNDS: u32 = 5;
+/// Interleaved rounds per measurement.
+const ROUNDS: u32 = 9;
 
 fn one_launch(kernel: &KernelDef, engine: ExecEngine) -> (ExecStats, Vec<f32>) {
     let mut config = DeviceConfig::small_gpu();
@@ -57,16 +62,35 @@ fn one_launch(kernel: &KernelDef, engine: ExecEngine) -> (ExecStats, Vec<f32>) {
 /// averages over tens of calls.
 const PROGRAM_ROUND: Duration = Duration::from_millis(40);
 
-/// Fastest mean ns per call of each of `N` contenders (an engine, or a hook
-/// runtime) over [`ROUNDS`] rounds. Within a round the contenders take turns
-/// call by call (so they share any machine drift) for at least `per_round`
-/// turns, and until one contender has spent `min_round`.
-fn best_of_rounds<const N: usize>(
+/// Median and quartiles of one contender's per-round mean, in ns per call.
+#[derive(Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// `{"median":…,"q1":…,"q3":…}`, each divided by `unit`.
+    fn json(self, unit: f64) -> Json {
+        Json::obj([
+            ("median", Json::Num(self.median / unit)),
+            ("q1", Json::Num(self.q1 / unit)),
+            ("q3", Json::Num(self.q3 / unit)),
+        ])
+    }
+}
+
+/// The spread of each of `N` contenders (an engine, or a hook runtime)
+/// over [`ROUNDS`] rounds. Within a round the contenders take turns call by
+/// call (so they share any machine drift) for at least `per_round` turns,
+/// and until one contender has spent `min_round`.
+fn interleaved_rounds<const N: usize>(
     per_round: u32,
     min_round: Duration,
     mut timed: impl FnMut(usize) -> Duration,
-) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
+) -> [Spread; N] {
+    let mut means: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
     for _ in 0..ROUNDS {
         let mut total = [Duration::ZERO; N];
         let mut calls = 0u32;
@@ -76,11 +100,14 @@ fn best_of_rounds<const N: usize>(
             }
             calls += 1;
         }
-        for (b, t) in best.iter_mut().zip(total) {
-            *b = b.min(t.as_nanos() as f64 / calls as f64);
+        for (m, t) in means.iter_mut().zip(total) {
+            m.push(t.as_nanos() as f64 / calls as f64);
         }
     }
-    best
+    means.map(|mut m| {
+        let [q1, median, q3] = quartiles(&mut m);
+        Spread { q1, median, q3 }
+    })
 }
 
 /// One fault-free launch of `kernel` (a build of `prog`) on `engine` under
@@ -109,84 +136,71 @@ fn program_launch(
     (elapsed, stats, out)
 }
 
-/// `{"tree_walk":…,"bytecode":…,"batch":…}` from per-engine values.
-fn per_engine(values: &[f64; 3]) -> Json {
+/// `{"tree_walk":…,"bytecode":…,"batch":…}` from per-engine spreads.
+fn per_engine(spreads: &[Spread], unit: f64) -> Json {
     Json::Obj(
         ENGINES
             .iter()
-            .zip(values)
-            .map(|(e, &v)| (e.name().replace('-', "_"), Json::Num(v)))
+            .zip(spreads)
+            .map(|(e, s)| (e.name().replace('-', "_"), s.json(unit)))
             .collect(),
     )
 }
 
-/// Cost of the FI hook runtime with no armed fault (what every injection of
-/// a campaign pays outside its one armed point) on a fault-free launch of
-/// `prog`'s FI build on the batch engine: `[null_ns, fi_ns]` per launch.
-/// Both runtimes must leave identical stats and output.
-fn fi_runtime_cost(prog: &dyn HostProgram, kernel: &KernelDef) -> [f64; 2] {
-    let fi = build(kernel, BuildVariant::Fi).expect("FI build").kernel;
-    let launch = |i: usize| {
-        let mut null = NullRuntime;
-        let mut fi_rt = FiRuntime::new(None);
-        let rt: &mut dyn HookRuntime = if i == 0 { &mut null } else { &mut fi_rt };
-        program_launch(prog, &fi, ExecEngine::Batch, rt)
-    };
-    let (_, null_stats, null_out) = launch(0);
-    let (_, fi_stats, fi_out) = launch(1);
-    assert_eq!(
-        null_stats,
-        fi_stats,
-        "{}: FI runtime stats diverge",
-        prog.name()
-    );
-    assert_eq!(
-        null_out,
-        fi_out,
-        "{}: FI runtime output diverges",
-        prog.name()
-    );
-    best_of_rounds(1, PROGRAM_ROUND, |i| launch(i).0)
-}
-
-/// Time every suite program on every engine, and its FI build under the FI
-/// runtime; returns the ledger rows and the smallest batch-over-bytecode
-/// speedup.
+/// Time every suite program on every engine, and its FI build on the batch
+/// engine under `NullRuntime` and the FI runtime with no armed fault (what
+/// every injection of a campaign pays outside its one armed point), all in
+/// the same interleaved rounds; returns the ledger rows and the smallest
+/// batch-over-bytecode median speedup.
 fn suite_matrix() -> (Json, f64) {
     let mut rows = Vec::new();
     let mut worst = f64::INFINITY;
     for prog in all_programs(ProblemScale::Quick) {
         let kernel = prog.build_kernel();
-        let run = |e: ExecEngine| program_launch(prog.as_ref(), &kernel, e, &mut NullRuntime);
-        let (_, ref_stats, ref_out) = run(ENGINES[0]);
-        for &e in &ENGINES[1..] {
-            let (_, stats, out) = run(e);
-            assert_eq!(ref_stats, stats, "{}: {e} stats diverge", prog.name());
-            assert_eq!(ref_out, out, "{}: {e} output diverges", prog.name());
+        let fi = build(&kernel, BuildVariant::Fi).expect("FI build").kernel;
+        // Contenders 0..3 run `kernel` on each engine; 3 and 4 run the FI
+        // build on batch under `NullRuntime` and the unarmed FI runtime.
+        let run = |i: usize| {
+            let p = prog.as_ref();
+            match i {
+                0..=2 => program_launch(p, &kernel, ENGINES[i], &mut NullRuntime),
+                3 => program_launch(p, &fi, ExecEngine::Batch, &mut NullRuntime),
+                _ => program_launch(p, &fi, ExecEngine::Batch, &mut FiRuntime::new(None)),
+            }
+        };
+        let name = prog.name();
+        let (_, ref_stats, ref_out) = run(0);
+        for (i, e) in ENGINES.iter().enumerate().skip(1) {
+            let (_, stats, out) = run(i);
+            assert_eq!(ref_stats, stats, "{name}: {e} stats diverge");
+            assert_eq!(ref_out, out, "{name}: {e} output diverges");
         }
-        let best: [f64; 3] = best_of_rounds(1, PROGRAM_ROUND, |i| run(ENGINES[i]).0);
-        let speedup = best[1] / best[2];
+        let (_, null_stats, null_out) = run(3);
+        let (_, fi_stats, fi_out) = run(4);
+        assert_eq!(null_stats, fi_stats, "{name}: FI runtime stats diverge");
+        assert_eq!(null_out, fi_out, "{name}: FI runtime output diverges");
+
+        let spread: [Spread; 5] = interleaved_rounds(1, PROGRAM_ROUND, |i| run(i).0);
+        let speedup = spread[1].median / spread[2].median;
         worst = worst.min(speedup);
-        let [null_ns, fi_ns] = fi_runtime_cost(prog.as_ref(), &kernel);
-        let fi_over_null = fi_ns / null_ns;
+        let fi_over_null = spread[4].median / spread[3].median;
+        let ms = |i: usize| spread[i].median / 1e6;
         eprintln!(
-            "{:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms  batch/bytecode {speedup:>5.2}x  FI/null {fi_over_null:>5.2}x",
-            prog.name(),
-            best[0] / 1e6,
-            best[1] / 1e6,
-            best[2] / 1e6,
+            "{name:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms [{:.3}, {:.3}]  batch/bytecode {speedup:>5.2}x  FI/null {fi_over_null:>5.2}x",
+            ms(0),
+            ms(1),
+            ms(2),
+            spread[2].q1 / 1e6,
+            spread[2].q3 / 1e6,
         );
         rows.push((
-            prog.name().to_string(),
+            name.to_string(),
             Json::obj([
-                ("ms_per_launch", per_engine(&best.map(|ns| ns / 1e6))),
+                ("ms_per_launch", per_engine(&spread[..3], 1e6)),
                 ("batch_over_bytecode", Json::Num(speedup)),
                 (
                     "fi_build_ms_per_launch",
-                    Json::obj([
-                        ("null", Json::Num(null_ns / 1e6)),
-                        ("fi", Json::Num(fi_ns / 1e6)),
-                    ]),
+                    Json::obj([("null", spread[3].json(1e6)), ("fi", spread[4].json(1e6))]),
                 ),
                 ("fi_over_null", Json::Num(fi_over_null)),
             ]),
@@ -213,7 +227,7 @@ fn main() {
     .unwrap();
 
     // Standing equivalence check: same stats, same memory, every run, across
-    // all three engines.
+    // every engine setting.
     let (ref_stats, ref_out) = one_launch(&kernel, ENGINES[0]);
     for &e in &ENGINES[1..] {
         let (stats, out) = one_launch(&kernel, e);
@@ -226,22 +240,30 @@ fn main() {
         assert_eq!(ref_out, out, "{} output diverges from reference", e.name());
     }
 
-    let best: [f64; 3] = best_of_rounds(iters / ROUNDS, Duration::ZERO, |i| {
+    let spread: [Spread; 3] = interleaved_rounds(iters / ROUNDS, Duration::ZERO, |i| {
         let t = Instant::now();
         black_box(one_launch(&kernel, ENGINES[i]));
         t.elapsed()
     });
-    for (i, &e) in ENGINES.iter().enumerate() {
-        eprintln!("{:>10}: {:>12.0} ns/launch", e.name(), best[i]);
+    for (e, s) in ENGINES.iter().zip(&spread) {
+        eprintln!(
+            "{:>10}: {:>12.0} ns/launch [{:.0}, {:.0}]",
+            e.name(),
+            s.median,
+            s.q1,
+            s.q3
+        );
     }
-    // Pairwise speedup matrix: speedups[slow][fast] = ns(slow)/ns(fast).
+    let median = spread.map(|s| s.median);
+    // Pairwise speedup matrix of the medians:
+    // speedups[slow][fast] = ns(slow)/ns(fast).
     let mut pair_rows = Vec::new();
     for (i, &slow) in ENGINES.iter().enumerate() {
         for (j, &fast) in ENGINES.iter().enumerate() {
             if i >= j {
                 continue;
             }
-            let s = best[i] / best[j];
+            let s = median[i] / median[j];
             eprintln!("{:>10} vs {:<10}: {s:>7.2}x", fast.name(), slow.name());
             pair_rows.push((
                 format!(
@@ -257,11 +279,11 @@ fn main() {
     let results = Json::Obj(
         ENGINES
             .iter()
-            .enumerate()
-            .map(|(i, e)| {
+            .zip(&spread)
+            .map(|(e, s)| {
                 (
                     e.name().replace('-', "_"),
-                    Json::obj([("ns_per_launch", Json::Num(best[i]))]),
+                    Json::obj([("ns_per_launch", s.json(1.0))]),
                 )
             })
             .collect(),
@@ -277,11 +299,12 @@ fn main() {
             Json::uint(PROGRAM_ROUND.as_millis() as u64),
         ),
         ("programs", programs),
+        ("rounds", Json::uint(ROUNDS as u64)),
         ("min_batch_over_bytecode", Json::Num(worst)),
         ("results", results),
         // Kept for dashboards that read the historical two-engine field:
         // the headline bytecode-over-tree-walk ratio.
-        ("speedup", Json::Num(best[0] / best[1])),
+        ("speedup", Json::Num(median[0] / median[1])),
         ("speedups", Json::Obj(pair_rows.into_iter().collect())),
         ("stats_identical", Json::Bool(true)),
     ]);

@@ -10,7 +10,7 @@
 //! Binaries (`cargo run --release -p hauberk-bench --bin <name>`):
 //!
 //! * `figures` — regenerate the paper's figures/tables (positional figure
-//!   names, `--paper`, `--json`, `--engine`, `--threads`).
+//!   names, `--paper`, `--json`, `--threads`).
 //! * `campaign` — one program's fault-injection campaign with CSV/trace
 //!   export and the orchestration layer: `--journal`/`--resume` checkpoints,
 //!   `--shard I/M` + the `merge-journals` subcommand, `--adaptive`

@@ -197,9 +197,8 @@ pub fn run_program_traced(
 
 /// [`run_program_traced`] with an explicit execution engine.
 ///
-/// `None` keeps the program's device default (which itself follows the
-/// process-wide [`hauberk_sim::default_engine`]); `Some` pins the engine for
-/// this run regardless of either — campaigns use this so an `--engine` flag
+/// `None` keeps the program's device default (the batch engine); `Some`
+/// pins the engine for this run — campaigns use this so an `--engine` flag
 /// or a differential test overrides everything downstream.
 pub fn run_program_with_engine(
     prog: &dyn HostProgram,

@@ -112,7 +112,7 @@ pub struct JobSpec {
     /// Operator fault-injection hook: sabotage one work unit to validate the
     /// daemon's retry → quarantine resilience end-to-end (tests and drills).
     pub chaos: Option<ChaosConfig>,
-    /// Execution engine (`None` = the process-wide default), validated at
+    /// Execution engine (`None` = batch, the device default), validated at
     /// POST time. Every engine gives the same result, so a campaign's
     /// journal resumes and merges across engines; the engine stays in
     /// [`Self::identity_json`] so cache keys keep their values.

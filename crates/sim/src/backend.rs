@@ -1,234 +1,55 @@
-//! The `ExecBackend` abstraction: one interface over all execution engines.
+//! Per-launch preparation: what a device runs a kernel with.
 //!
-//! The device's launch loop used to `match` on [`ExecEngine`] inline —
-//! compile for the bytecode VM, skip compilation for the tree walker, pick
-//! the executor per warp. Each new tier would have widened every such match
-//! (in `device.rs` and anywhere else that selects an engine). Instead, each
-//! tier now implements [`ExecBackend`]:
+//! There are two executors. The tree walker ([`crate::interp::WarpExec`])
+//! interprets the KIR tree directly and needs nothing prepared; it is the
+//! reference oracle. The VM ([`crate::vm::VmExec`]) runs a
+//! [`BatchCompiled`] — bytecode plus region plan — fetched from the
+//! process-wide build cache, with full-mask regions on
+//! ([`ExecEngine::Batch`]) or off ([`ExecEngine::Bytecode`]).
 //!
-//! * [`ExecBackend::prepare`] runs once per launch and produces whatever
-//!   per-launch artifact the tier wants (nothing for the tree walker; a
-//!   cached [`CompiledKernel`] for the bytecode VM; a
-//!   [`BatchCompiled`] — bytecode + region plan — for the batch tier);
-//! * [`ExecBackend::run_warp`] executes one warp against that artifact,
-//!   with all mutable launch state passed through [`WarpCtx`] (memory,
-//!   runtime hooks for fault injection, stats, cycle budget, telemetry).
-//!
-//! The contract every backend must honor is **observational equivalence**:
-//! identical `ExecStats`, trap/hang ordering, hook and fault-injection
-//! windows, and output bits for the same kernel and launch — engines may
-//! differ only in speed. The three-way differential suite at the workspace
-//! root enforces this.
-//!
-//! [`ExecEngine::backend`] maps the config enum to a `&'static dyn
-//! ExecBackend`, which is the *only* place an engine match remains.
+//! Every setting must be **observationally equivalent**: identical
+//! `ExecStats`, trap/hang ordering, hook and fault-injection windows, and
+//! output bits for the same kernel and launch — they differ only in speed.
+//! The differential suite at the workspace root enforces this.
 
-use crate::bytecode::{compile_cached, CompiledKernel};
+use crate::bytecode::compile_cached;
 use crate::config::{DeviceConfig, ExecEngine};
-use crate::hooks::HookRuntime;
-use crate::interp::{ExecErr, WarpExec, WarpGeom};
-use crate::memory::MemRegion;
-use crate::stats::ExecStats;
-use crate::vm::VmExec;
-use crate::vm_batch::{compile_batch_cached, BatchCompiled};
-use hauberk_kir::{KernelDef, Value};
-use hauberk_telemetry::Telemetry;
-use std::any::Any;
+use crate::vm_batch::BatchCompiled;
+use hauberk_kir::KernelDef;
 use std::sync::Arc;
 
-/// Everything a backend needs to execute one warp: the launch's mutable
-/// state plus this warp's geometry. Borrowed fresh for each warp from the
-/// device's launch loop.
-pub struct WarpCtx<'a> {
-    /// Device configuration (cost model, warp width, strictness).
-    pub cfg: &'a DeviceConfig,
-    /// Global memory.
-    pub global: &'a mut MemRegion,
-    /// This block's shared memory.
-    pub shared: &'a mut MemRegion,
-    /// Hook/fault runtime (the injection and alarm surface).
-    pub runtime: &'a mut dyn HookRuntime,
-    /// Launch-wide execution statistics.
-    pub stats: &'a mut ExecStats,
-    /// Remaining launch cycle budget.
-    pub budget: &'a mut u64,
-    /// This warp's geometry.
-    pub geom: WarpGeom,
-    /// Kernel arguments (broadcast to lanes).
-    pub args: &'a [Value],
-    /// Telemetry pipeline.
-    pub tele: &'a Telemetry,
-    /// Launch id for telemetry correlation.
-    pub launch_id: u64,
-}
-
-/// A backend's per-launch compilation artifact, opaque to the device.
-/// Backends downcast it back in [`ExecBackend::run_warp`].
-pub struct Prepared(Option<Arc<dyn Any + Send + Sync>>);
-
-impl Prepared {
-    /// No artifact (interpretation straight off the AST).
-    pub fn none() -> Self {
-        Prepared(None)
-    }
-
-    /// Wrap a backend artifact.
-    pub fn new<T: Any + Send + Sync>(artifact: Arc<T>) -> Self {
-        Prepared(Some(artifact))
-    }
-
-    /// Downcast back to the concrete artifact type.
-    ///
-    /// # Panics
-    /// Panics if no artifact was prepared or the type differs — both are
-    /// backend implementation bugs (`prepare` and `run_warp` belong to the
-    /// same impl).
-    pub fn get<T: Any>(&self) -> &T {
-        self.0
-            .as_deref()
-            .expect("backend prepared no artifact")
-            .downcast_ref::<T>()
-            .expect("backend artifact type mismatch")
-    }
-}
-
-/// One execution engine behind a uniform interface. Implementations must be
-/// observationally equivalent (stats, traps, hooks, faults, outputs) and
-/// stateless (`&self`; all launch state lives in [`WarpCtx`]), so a single
-/// `&'static` instance serves all launches on all threads.
-pub trait ExecBackend: Sync {
-    /// Which engine this backend implements.
-    fn engine(&self) -> ExecEngine;
-
-    /// Per-launch preparation (compilation through the build caches).
-    fn prepare(&self, kernel: &KernelDef, cfg: &DeviceConfig) -> Prepared;
-
-    /// Execute one warp to completion.
-    fn run_warp(
-        &self,
-        prepared: &Prepared,
-        kernel: &KernelDef,
-        ctx: WarpCtx<'_>,
-    ) -> Result<(), ExecErr>;
-}
-
-/// The tree-walking reference interpreter (no compilation).
-pub struct TreeWalkBackend;
-
-impl ExecBackend for TreeWalkBackend {
-    fn engine(&self) -> ExecEngine {
-        ExecEngine::TreeWalk
-    }
-
-    fn prepare(&self, _kernel: &KernelDef, _cfg: &DeviceConfig) -> Prepared {
-        Prepared::none()
-    }
-
-    fn run_warp(
-        &self,
-        _prepared: &Prepared,
-        kernel: &KernelDef,
-        ctx: WarpCtx<'_>,
-    ) -> Result<(), ExecErr> {
-        WarpExec::new(
-            kernel,
-            ctx.cfg,
-            ctx.global,
-            ctx.shared,
-            ctx.runtime,
-            ctx.stats,
-            ctx.budget,
-            ctx.geom,
-            ctx.args,
-            ctx.tele,
-            ctx.launch_id,
-        )
-        .run()
-    }
-}
-
-/// The per-op bytecode VM (compiles through the process-wide build cache).
-pub struct BytecodeBackend;
-
-impl ExecBackend for BytecodeBackend {
-    fn engine(&self) -> ExecEngine {
-        ExecEngine::Bytecode
-    }
-
-    fn prepare(&self, kernel: &KernelDef, cfg: &DeviceConfig) -> Prepared {
-        Prepared::new(compile_cached(kernel, &cfg.cost))
-    }
-
-    fn run_warp(
-        &self,
-        prepared: &Prepared,
-        _kernel: &KernelDef,
-        ctx: WarpCtx<'_>,
-    ) -> Result<(), ExecErr> {
-        let compiled = prepared.get::<CompiledKernel>();
-        VmExec::new(
-            compiled,
-            ctx.cfg,
-            ctx.global,
-            ctx.shared,
-            ctx.runtime,
-            ctx.stats,
-            ctx.budget,
-            ctx.geom,
-            ctx.args,
-            ctx.tele,
-            ctx.launch_id,
-        )
-        .run()
-    }
-}
-
-/// The batch tier: the bytecode VM plus the lane-blocked region fast path.
-pub struct BatchBackend;
-
-impl ExecBackend for BatchBackend {
-    fn engine(&self) -> ExecEngine {
-        ExecEngine::Batch
-    }
-
-    fn prepare(&self, kernel: &KernelDef, cfg: &DeviceConfig) -> Prepared {
-        Prepared::new(compile_batch_cached(kernel, &cfg.cost))
-    }
-
-    fn run_warp(
-        &self,
-        prepared: &Prepared,
-        _kernel: &KernelDef,
-        ctx: WarpCtx<'_>,
-    ) -> Result<(), ExecErr> {
-        let bc = prepared.get::<BatchCompiled>();
-        VmExec::new(
-            &bc.compiled,
-            ctx.cfg,
-            ctx.global,
-            ctx.shared,
-            ctx.runtime,
-            ctx.stats,
-            ctx.budget,
-            ctx.geom,
-            ctx.args,
-            ctx.tele,
-            ctx.launch_id,
-        )
-        .with_batch(&bc.batch)
-        .run()
-    }
+/// A launch's prepared executor, built once per launch by
+/// [`ExecEngine::prepare`] and matched per warp by the device.
+pub enum Prepared {
+    /// The tree walker (nothing to compile).
+    TreeWalk,
+    /// The VM over a cached compilation.
+    Vm {
+        /// Bytecode plus region plan, shared across launches and workers.
+        compiled: Arc<BatchCompiled>,
+        /// Whether full-mask regions run (off = per-op dispatch only).
+        regions: bool,
+    },
 }
 
 impl ExecEngine {
-    /// The backend implementing this engine — the single remaining
-    /// engine-selection point in the simulator.
-    pub fn backend(self) -> &'static dyn ExecBackend {
+    /// Prepare `kernel` for a device configured with `cfg` (compilation
+    /// through the build cache, so relaunching one kernel is a lookup).
+    pub fn prepare(self, kernel: &KernelDef, cfg: &DeviceConfig) -> Prepared {
         match self {
-            ExecEngine::TreeWalk => &TreeWalkBackend,
-            ExecEngine::Bytecode => &BytecodeBackend,
-            ExecEngine::Batch => &BatchBackend,
+            ExecEngine::TreeWalk => Prepared::TreeWalk,
+            ExecEngine::Bytecode | ExecEngine::Batch => Prepared::Vm {
+                compiled: compile_cached(kernel, &cfg.cost),
+                regions: self == ExecEngine::Batch,
+            },
         }
+    }
+
+    /// The engine itself. Kept so that `engine.backend().prepare(..)` — the
+    /// spelling perfbench's replica times `sim.prepare` with — still
+    /// compiles; new code calls [`ExecEngine::prepare`] directly.
+    pub fn backend(self) -> ExecEngine {
+        self
     }
 }
 
@@ -237,15 +58,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_roundtrips_engine() {
-        for e in ExecEngine::ALL {
-            assert_eq!(e.backend().engine(), e);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prepared no artifact")]
-    fn prepared_none_panics_on_get() {
-        Prepared::none().get::<CompiledKernel>();
+    fn bytecode_and_batch_launches_share_one_cache_entry() {
+        let k = hauberk_kir::parser::parse_kernel(
+            "kernel share_probe(out: *global i32, n: i32) {
+                store(out, 0, n * 7 + 1);
+            }",
+        )
+        .unwrap();
+        let cfg = DeviceConfig::small_gpu();
+        assert!(matches!(
+            ExecEngine::TreeWalk.prepare(&k, &cfg),
+            Prepared::TreeWalk
+        ));
+        let vm = |e: ExecEngine| match e.prepare(&k, &cfg) {
+            Prepared::Vm { compiled, regions } => (compiled, regions),
+            Prepared::TreeWalk => panic!("{e} prepared the tree walker"),
+        };
+        let (off, on) = (vm(ExecEngine::Bytecode), vm(ExecEngine::Batch));
+        assert_eq!((off.1, on.1), (false, true));
+        assert!(Arc::ptr_eq(&off.0, &on.0), "two cache entries");
+        assert!(Arc::ptr_eq(&on.0, &compile_cached(&k, &cfg.cost)));
     }
 }

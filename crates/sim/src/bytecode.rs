@@ -8,13 +8,15 @@
 //! [`compile_cached`] is the campaign-scale entry point: SWIFI campaigns
 //! launch the *same* instrumented kernel thousands of times (once per
 //! injection, across rayon workers), so the translator output is compiled
-//! once and shared via `Arc`. A lookup compares a cheap structural
-//! fingerprint first and confirms every hit with `KernelDef ==` and
-//! `CostModel ==`, so a fingerprint collision can never silently execute the
-//! wrong program — and a hit never pays for printing the kernel.
+//! once — bytecode plus region plan, a [`BatchCompiled`] — and shared via
+//! `Arc` by the VM with regions on and off alike. A lookup compares a cheap
+//! structural fingerprint first and confirms every hit with `KernelDef ==`
+//! and `CostModel ==`, so a fingerprint collision can never silently execute
+//! the wrong program — and a hit never pays for printing the kernel.
 
 use crate::config::CostModel;
 use crate::interp::{hook_cost, hook_kind_name};
+use crate::vm_batch::{compile_batch, BatchCompiled};
 use hauberk_kir::lower::{lower_kernel, LoweredKernel};
 use hauberk_kir::KernelDef;
 use std::collections::hash_map::DefaultHasher;
@@ -55,7 +57,7 @@ pub fn compile(kernel: &KernelDef, cost: &CostModel) -> CompiledKernel {
 /// Cap on cached entries; property tests churn through thousands of generated
 /// kernels, and clearing wholesale is simpler (and rare enough) compared to
 /// an eviction policy.
-pub(crate) const CACHE_CAP: usize = 256;
+const CACHE_CAP: usize = 256;
 
 /// Structural fingerprint of a (kernel, cost model) pair: the kernel's name
 /// and shape (variable count, parameter count, shared memory, top-level
@@ -76,16 +78,17 @@ struct CacheEntry {
     fingerprint: u64,
     kernel: KernelDef,
     cost: CostModel,
-    compiled: Arc<CompiledKernel>,
+    compiled: Arc<BatchCompiled>,
 }
 
-/// Compile `kernel` through the process-wide build cache.
+/// Compile `kernel` (bytecode and region plan) through the process-wide
+/// build cache.
 ///
 /// Keyed by kernel structure + cost model, so the same instrumented build
 /// is compiled once per campaign and shared across all rayon workers. The
 /// lock is held across a miss's compilation, so concurrent launches of one
 /// kernel compile it once.
-pub fn compile_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<CompiledKernel> {
+pub fn compile_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<BatchCompiled> {
     static CACHE: Mutex<Vec<CacheEntry>> = Mutex::new(Vec::new());
     let fp = fingerprint(kernel, cost);
     let mut entries = hauberk_telemetry::lock_recover(&CACHE);
@@ -98,7 +101,7 @@ pub fn compile_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<CompiledKerne
     if entries.len() >= CACHE_CAP {
         entries.clear();
     }
-    let compiled = Arc::new(compile(kernel, cost));
+    let compiled = Arc::new(compile_batch(kernel, cost));
     entries.push(CacheEntry {
         fingerprint: fp,
         kernel: kernel.clone(),
@@ -163,7 +166,7 @@ mod tests {
         let a = compile_cached(&k, &cost);
         let b = compile_cached(&other, &cost);
         assert!(!Arc::ptr_eq(&a, &b), "same fingerprint, different kernel");
-        assert_ne!(a.lowered, b.lowered);
+        assert_ne!(a.compiled.lowered, b.compiled.lowered);
         assert!(Arc::ptr_eq(&a, &compile_cached(&k.clone(), &cost)));
         assert!(Arc::ptr_eq(&b, &compile_cached(&other.clone(), &cost)));
     }

@@ -1,32 +1,33 @@
 //! Device and cost-model configuration.
 
 use crate::stats::OpClass;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which execution engine a device uses to run kernels.
 ///
-/// All engines implement identical semantics (same `ExecStats`, same trap
-/// ordering, same hook/fault behavior — enforced by the differential property
-/// suite); they differ only in speed and in representation:
+/// There are two executors, and the fast one has a switch. All settings
+/// implement identical semantics (same `ExecStats`, same trap ordering, same
+/// hook/fault behavior — enforced by the differential property suite); they
+/// differ only in speed:
 ///
 /// * [`TreeWalk`](ExecEngine::TreeWalk) interprets the KIR statement tree
 ///   directly. Slow, obviously correct; the reference oracle.
-/// * [`Bytecode`](ExecEngine::Bytecode) runs flat register bytecode compiled
-///   once per kernel (see `hauberk-kir::lower` and the `bytecode`/`vm`
-///   modules). The per-op path batch regions fall back to.
-/// * [`Batch`](ExecEngine::Batch) runs the same bytecode with a batch plan:
-///   full-mask straight-line regions execute as lane-blocked micro-ops with
-///   precomputed cycle-charge tables (see `hauberk-kir::batch` and the
-///   `vm_batch` module), falling back to the per-op VM at any
-///   divergence/barrier/atomic boundary. The fastest tier and the default
-///   for every campaign, daemon job and golden run.
+/// * [`Batch`](ExecEngine::Batch) runs the VM: flat register bytecode
+///   compiled once per kernel (see `hauberk-kir::lower` and the
+///   `bytecode`/`vm` modules) whose full-mask straight-line regions execute
+///   as lane-blocked micro-ops with precomputed cycle-charge tables (see
+///   `hauberk-kir::batch` and the `vm_batch` module), falling back to per-op
+///   dispatch at any divergence/barrier/atomic boundary. The default for
+///   every device, campaign, daemon job and golden run.
+/// * [`Bytecode`](ExecEngine::Bytecode) is the same VM with regions off:
+///   every instruction goes through per-op dispatch, which checks the
+///   region fast path against the per-op path it replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// The tree-walking reference interpreter.
     TreeWalk,
-    /// The compiled register-bytecode VM.
+    /// The VM with full-mask regions off (per-op dispatch only).
     Bytecode,
-    /// The batched lane-vector VM (bytecode plus full-mask region batching).
+    /// The VM with full-mask regions on.
     Batch,
 }
 
@@ -47,52 +48,15 @@ impl ExecEngine {
         }
     }
 
-    /// Parse a CLI spelling (`tree-walk`/`treewalk`/`tree`/`interp`,
-    /// `bytecode`/`vm`, or `batch`/`vector`/`simd`).
+    /// Parse a CLI/spec name: exactly what [`ExecEngine::name`] writes.
     pub fn parse(s: &str) -> Option<ExecEngine> {
-        match s.to_ascii_lowercase().as_str() {
-            "tree-walk" | "treewalk" | "tree" | "interp" | "interpreter" => {
-                Some(ExecEngine::TreeWalk)
-            }
-            "bytecode" | "vm" | "compiled" => Some(ExecEngine::Bytecode),
-            "batch" | "vector" | "simd" | "lane-vector" => Some(ExecEngine::Batch),
-            _ => None,
-        }
+        ExecEngine::ALL.into_iter().find(|e| e.name() == s)
     }
 }
 
 impl std::fmt::Display for ExecEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Process-wide default engine for newly constructed [`DeviceConfig`]s
-/// (0 = tree-walk, 1 = bytecode, 2 = batch).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(2);
-
-/// Set the process-wide default engine used by [`DeviceConfig::gpu`] /
-/// [`DeviceConfig::cpu`] (and everything built on them). `figures` calls
-/// this from its `--engine` flag; tests use it to force all engines through
-/// identical code paths. Campaigns pin their engine per run instead
-/// (`CampaignConfig::engine`).
-pub fn set_default_engine(e: ExecEngine) {
-    DEFAULT_ENGINE.store(
-        match e {
-            ExecEngine::TreeWalk => 0,
-            ExecEngine::Bytecode => 1,
-            ExecEngine::Batch => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-wide default engine.
-pub fn default_engine() -> ExecEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        0 => ExecEngine::TreeWalk,
-        1 => ExecEngine::Bytecode,
-        _ => ExecEngine::Batch,
     }
 }
 
@@ -197,7 +161,7 @@ pub struct DeviceConfig {
     pub strict_memory: bool,
     /// Cost model.
     pub cost: CostModel,
-    /// Execution engine (defaults to the process-wide [`default_engine`]).
+    /// Execution engine ([`ExecEngine::Batch`] unless set).
     pub engine: ExecEngine,
 }
 
@@ -218,7 +182,7 @@ impl DeviceConfig {
             global_mem_bytes: 64 * 1024 * 1024,
             strict_memory: false,
             cost: CostModel::default(),
-            engine: default_engine(),
+            engine: ExecEngine::Batch,
         }
     }
 
@@ -245,7 +209,7 @@ impl DeviceConfig {
                 // CPU-mode times are not used for any figure; keep defaults.
                 ..CostModel::default()
             },
-            engine: default_engine(),
+            engine: ExecEngine::Batch,
         }
     }
 }
@@ -277,5 +241,15 @@ mod tests {
         assert_eq!(m.class_cost(OpClass::IAlu), m.ialu);
         assert_eq!(m.class_cost(OpClass::Sfu), m.sfu);
         assert_eq!(m.class_cost(OpClass::Mem), m.mem_base);
+    }
+
+    #[test]
+    fn engines_parse_only_their_names() {
+        for e in ExecEngine::ALL {
+            assert_eq!(ExecEngine::parse(e.name()), Some(e));
+        }
+        for alias in ["vm", "simd", "interp", "lane-vector", "Batch", ""] {
+            assert_eq!(ExecEngine::parse(alias), None, "{alias}");
+        }
     }
 }

@@ -1,17 +1,18 @@
 //! The simulated device: global memory, launch orchestration, SM time model.
 
-use crate::backend::{ExecBackend, Prepared, WarpCtx};
+use crate::backend::Prepared;
 use crate::config::DeviceConfig;
 use crate::fault::MemoryBurst;
 use crate::footprint::WordSet;
 use crate::hooks::HookRuntime;
-use crate::interp::{ExecErr, WarpGeom};
+use crate::interp::{ExecErr, WarpExec, WarpGeom};
 use crate::memory::MemRegion;
 use crate::outcome::{LaunchOutcome, TrapReason};
 use crate::snapshot::{
     BoundaryState, CaptureRun, Composition, Fnv1a, Snapshot, SnapshotError, Spliced,
 };
 use crate::stats::ExecStats;
+use crate::vm::VmExec;
 use hauberk_kir::validate::validate_kernel;
 use hauberk_kir::{KernelDef, MemSpace, PrimTy, PtrVal, Value};
 use hauberk_telemetry::span::SpanGuard;
@@ -159,8 +160,8 @@ impl Device {
             threads: launch.total_threads(),
         });
         // The launch span nests under whatever the caller has open (a
-        // campaign work unit, typically) and records engine-tier timing:
-        // which backend ran, prepare vs. warp-execution nanoseconds.
+        // campaign work unit, typically) and records engine timing: which
+        // engine ran, prepare vs. warp-execution nanoseconds.
         let mut span = tele.span("launch");
         span.attr_with("kernel", || kernel.name.clone());
         span.attr("engine", self.config.engine.name());
@@ -203,14 +204,12 @@ impl Device {
             return out;
         }
 
-        // Engine selection is a backend lookup; preparation (compilation
-        // through the build caches) runs once per launch — campaigns
-        // relaunch the same instrumented kernel thousands of times, so the
-        // caches make this a lookup.
-        let backend = self.config.engine.backend();
+        // Preparation (compilation through the build cache) runs once per
+        // launch — campaigns relaunch the same instrumented kernel thousands
+        // of times, so the cache makes this a lookup.
         let timed = span.active();
         let t_prepare = timed.then(Instant::now);
-        let prepared = backend.prepare(kernel, &self.config);
+        let prepared = self.config.engine.prepare(kernel, &self.config);
         if let Some(t) = t_prepare {
             span.attr_with("prepare_ns", || (t.elapsed().as_nanos() as u64).to_string());
         }
@@ -225,7 +224,6 @@ impl Device {
                 runtime,
                 tele,
                 launch_id,
-                backend,
                 prepared: &prepared,
             },
             &mut st,
@@ -308,22 +306,37 @@ impl Device {
                     warp_id,
                 };
                 let t_warp = exec_ns.is_some().then(Instant::now);
-                let run_result = ctx.backend.run_warp(
-                    ctx.prepared,
-                    kernel,
-                    WarpCtx {
-                        cfg: &self.config,
-                        global: &mut self.mem,
-                        shared: &mut shared,
-                        runtime: ctx.runtime,
-                        stats: &mut st.stats,
-                        budget: &mut st.budget,
+                let run_result = match ctx.prepared {
+                    Prepared::TreeWalk => WarpExec::new(
+                        kernel,
+                        &self.config,
+                        &mut self.mem,
+                        &mut shared,
+                        &mut *ctx.runtime,
+                        &mut st.stats,
+                        &mut st.budget,
                         geom,
-                        args: ctx.args,
-                        tele: ctx.tele,
-                        launch_id: ctx.launch_id,
-                    },
-                );
+                        ctx.args,
+                        ctx.tele,
+                        ctx.launch_id,
+                    )
+                    .run(),
+                    Prepared::Vm { compiled, regions } => VmExec::new(
+                        compiled,
+                        *regions,
+                        &self.config,
+                        &mut self.mem,
+                        &mut shared,
+                        &mut *ctx.runtime,
+                        &mut st.stats,
+                        &mut st.budget,
+                        geom,
+                        ctx.args,
+                        ctx.tele,
+                        ctx.launch_id,
+                    )
+                    .run(),
+                };
                 if let (Some(ns), Some(t)) = (exec_ns.as_deref_mut(), t_warp) {
                     *ns += t.elapsed().as_nanos() as u64;
                 }
@@ -386,8 +399,7 @@ impl Device {
             run.outcome = out;
             return run;
         }
-        let backend = self.config.engine.backend();
-        let prepared = backend.prepare(kernel, &self.config);
+        let prepared = self.config.engine.prepare(kernel, &self.config);
         let tele = self.telemetry.clone();
         let total = launch.total_blocks();
 
@@ -432,7 +444,6 @@ impl Device {
                 runtime: &mut *runtime,
                 tele: &tele,
                 launch_id: 0,
-                backend,
                 prepared: &prepared,
             };
             if let Some(early) = self.run_block_range(ctx, &mut st, b, b + 1, None) {
@@ -554,8 +565,7 @@ impl Device {
         if let Err(out) = self.validate_launch(kernel, args) {
             return Ok(Spliced::Ran(out));
         }
-        let backend = self.config.engine.backend();
-        let prepared = backend.prepare(kernel, &self.config);
+        let prepared = self.config.engine.prepare(kernel, &self.config);
         let tele = self.telemetry.clone();
 
         self.mem = snap.state.mem.clone();
@@ -569,7 +579,6 @@ impl Device {
                     runtime: &mut *runtime,
                     tele: &tele,
                     launch_id: 0,
-                    backend,
                     prepared: &prepared,
                 }
             };
@@ -684,7 +693,6 @@ struct RunCtx<'a> {
     runtime: &'a mut dyn HookRuntime,
     tele: &'a Telemetry,
     launch_id: u64,
-    backend: &'a dyn ExecBackend,
     prepared: &'a Prepared,
 }
 
@@ -1286,7 +1294,7 @@ mod tests {
     }
 
     /// A later block's warp-uniform load (one address for every lane, which
-    /// the batch tier broadcasts) is a read footprint too: it forces the
+    /// the VM broadcasts) is a read footprint too: it forces the
     /// fallback when the faulty block changed that word.
     #[test]
     fn uniform_loads_are_read_footprints() {

@@ -15,11 +15,11 @@
 //! A runtime declares which dispatch points it acts on through its
 //! **interest filter**, [`HookRuntime::observes_hook`] and
 //! [`HookRuntime::observes_loop`]. An FI runtime arms one (site, thread,
-//! occurrence), so every other FI hook is a no-op for it. The batched VM
-//! skips the typed lane views and the callbacks at a point the runtime does
-//! not observe; its charges, statistics, telemetry and producer-tag
-//! invalidation are unchanged. The tree walker and the bytecode VM dispatch
-//! every point, so they stay the unfiltered reference.
+//! occurrence), so every other FI hook is a no-op for it. The VM (regions on
+//! or off) skips the typed lane views and the callbacks at a point the
+//! runtime does not observe; its charges, statistics, telemetry and
+//! producer-tag invalidation are unchanged. The tree walker dispatches every
+//! point, so it stays the unfiltered reference.
 
 use hauberk_kir::stmt::LoopId;
 use hauberk_kir::{Hook, Value};

@@ -97,7 +97,7 @@ impl Pipe {
 
 // -- shared cost accounting -------------------------------------------------
 //
-// The tree walker and the bytecode VM must charge cycles *identically* (the
+// The tree walker and the VM must charge cycles *identically* (the
 // differential suite compares `ExecStats` bit-for-bit), so the accounting
 // lives in free functions both engines call.
 

@@ -59,13 +59,13 @@ pub mod stats;
 pub mod vm;
 pub mod vm_batch;
 
-pub use backend::{BatchBackend, BytecodeBackend, ExecBackend, Prepared, TreeWalkBackend, WarpCtx};
+pub use backend::Prepared;
 pub use bytecode::{compile_cached, disassemble, CompiledKernel};
-pub use config::{default_engine, set_default_engine, CostModel, DeviceConfig, ExecEngine};
+pub use config::{CostModel, DeviceConfig, ExecEngine};
 pub use device::{Device, Launch};
 pub use fault::{ArmedFault, FaultSite, MemoryBurst};
 pub use hooks::{HookCtx, HookRuntime, LoopCheckCtx, NullRuntime, RegCorruption};
 pub use outcome::{LaunchOutcome, TrapReason};
 pub use snapshot::{CaptureRun, Snapshot, SnapshotError, Spliced};
 pub use stats::{ExecStats, OpClass};
-pub use vm_batch::{compile_batch, compile_batch_cached, BatchCompiled, BatchKernel};
+pub use vm_batch::{compile_batch, BatchCompiled, BatchKernel};

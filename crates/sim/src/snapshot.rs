@@ -17,13 +17,13 @@
 //!    block, so "before block *b*" is a quiescent point: no shared memory is
 //!    live, no warp is mid-flight, and the only carried state is exactly
 //!    what [`Snapshot`] stores.
-//! 2. **Snapshots are engine-neutral.** The three [`crate::ExecBackend`]
-//!    tiers are observationally equivalent — same memory, same
+//! 2. **Snapshots are engine-neutral.** The tree walker and the VM, with
+//!    regions off or on, are observationally equivalent — same memory, same
 //!    [`crate::ExecStats`], same cycle tallies at every block boundary — and a
 //!    snapshot holds only that observable state, never a per-launch
-//!    compilation artifact. So a snapshot captured on one tier restores on
+//!    compilation artifact. So a snapshot captured on one engine restores on
 //!    any other and the resumed run is bit-identical to a restore on the
-//!    capturing tier (`tests/snapshot_roundtrip.rs` checks every ordered
+//!    capturing engine (`tests/snapshot_roundtrip.rs` checks every ordered
 //!    engine pair).
 //! 3. **Hook runtimes are per-run.** The snapshot stores *device* state
 //!    only. Each resumed run brings its own [`crate::HookRuntime`]; because

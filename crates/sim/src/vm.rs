@@ -48,6 +48,17 @@
 //! tolerate an empty mask. That is what keeps cycle charges identical to a
 //! walker that simply never visits dead statements.
 //!
+//! ## Full-mask regions
+//!
+//! With regions on ([`ExecEngine::Batch`](crate::ExecEngine::Batch)), a
+//! full-mask warp that reaches the start of a planned straight-line region
+//! runs it as one block of lane-blocked micro-ops with a precomputed cycle
+//! charge (see [`crate::vm_batch`]). With regions off
+//! ([`ExecEngine::Bytecode`](crate::ExecEngine::Bytecode)) every instruction
+//! goes through per-op dispatch, which is what a region must reproduce.
+//! Everything else — the sorted-segment memory charge, the broadcast load,
+//! the hook/loop interest filter — runs on both settings.
+//!
 //! The VM requires kernels that pass `hauberk_kir::validate::validate_kernel`
 //! (lowering already panics on most invalid forms); on ill-typed kernels the
 //! tree walker raises `IllegalInstruction` traps that the static annotations
@@ -64,7 +75,8 @@ use crate::memory::MemRegion;
 use crate::outcome::TrapReason;
 use crate::stats::{ExecStats, OpClass};
 use crate::vm_batch::{
-    run_micro_ops, sorted_segment_count, table_idx, BatchKernel, ChargeEntry, NO_REGION,
+    run_micro_ops, sorted_segment_count, table_idx, BatchCompiled, BatchKernel, ChargeEntry,
+    NO_REGION,
 };
 use hauberk_kir::batch::TagSrc;
 use hauberk_kir::lower::{Op, Reg, NO_REG};
@@ -490,9 +502,10 @@ pub struct VmExec<'a> {
     marg: Vec<Vec<Value>>,
     /// Scratch for the materialized hook-target / loop-iterator view.
     mtgt: Vec<Value>,
-    /// The batch tier's region plan, when running as the batch engine
-    /// (`None` = plain per-op bytecode execution).
-    batch: Option<&'a BatchKernel>,
+    /// The region plan compiled alongside the bytecode.
+    batch: &'a BatchKernel,
+    /// Whether full-mask regions run (off = per-op dispatch only).
+    regions: bool,
     /// Scratch for region producer-tag write-back (two-phase, alias-safe).
     wb_scratch: Vec<Tag>,
     tele: &'a Telemetry,
@@ -500,11 +513,13 @@ pub struct VmExec<'a> {
 }
 
 impl<'a> VmExec<'a> {
-    /// Build a warp executor over `compiled`. `args` are the kernel parameter
-    /// values, broadcast to all lanes.
+    /// Build a warp executor over `compiled`, running its full-mask regions
+    /// iff `regions`. `args` are the kernel parameter values, broadcast to
+    /// all lanes.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        compiled: &'a CompiledKernel,
+        compiled: &'a BatchCompiled,
+        regions: bool,
         cfg: &'a DeviceConfig,
         global: &'a mut MemRegion,
         shared: &'a mut MemRegion,
@@ -516,6 +531,7 @@ impl<'a> VmExec<'a> {
         tele: &'a Telemetry,
         launch_id: u64,
     ) -> Self {
+        let BatchCompiled { compiled, batch } = compiled;
         let lk = &compiled.lowered;
         assert_eq!(args.len(), lk.n_params, "kernel argument count");
         let width = cfg.warp_width as usize;
@@ -561,20 +577,12 @@ impl<'a> VmExec<'a> {
             addrs: vec![0; width],
             marg: Vec::new(),
             mtgt: Vec::new(),
-            batch: None,
+            batch,
+            regions,
             wb_scratch: Vec::new(),
             tele,
             launch_id,
         }
-    }
-
-    /// Attach a batch-tier region plan: full-mask region fast paths (and the
-    /// batch-only memory/loop-check shortcuts) activate, turning this
-    /// executor into the batch engine. The plan must have been built from
-    /// the same `CompiledKernel` and cost model.
-    pub fn with_batch(mut self, batch: &'a BatchKernel) -> Self {
-        self.batch = Some(batch);
-        self
     }
 
     /// Run the warp to completion.
@@ -604,18 +612,16 @@ impl<'a> VmExec<'a> {
     }
 
     fn charge_mem(&mut self, mask: u32, deps: [Tag; 2]) -> Result<(), ExecErr> {
-        // Batch tier: lane addresses are almost always non-decreasing
-        // (coalesced access), in which case the distinct-segment count falls
-        // out of one pass with no sort. Charges are identical to
-        // `charge_mem_op` (same count, same order of stat updates).
-        if self.batch.is_some() {
-            if let Some(nseg) =
-                sorted_segment_count(&self.addrs, mask, self.width, self.cfg.cost.segment_bytes)
-            {
-                self.stats.mem_segments += nseg;
-                self.charge(OpClass::Mem, deps)?;
-                return self.add_cycles((nseg - 1) * self.cfg.cost.mem_segment_extra);
-            }
+        // Lane addresses are almost always non-decreasing (coalesced
+        // access), in which case the distinct-segment count falls out of one
+        // pass with no sort. Charges are identical to `charge_mem_op` (same
+        // count, same order of stat updates).
+        if let Some(nseg) =
+            sorted_segment_count(&self.addrs, mask, self.width, self.cfg.cost.segment_bytes)
+        {
+            self.stats.mem_segments += nseg;
+            self.charge(OpClass::Mem, deps)?;
+            return self.add_cycles((nseg - 1) * self.cfg.cost.mem_segment_extra);
         }
         charge_mem_op(
             &mut self.pipe,
@@ -688,12 +694,12 @@ impl<'a> VmExec<'a> {
             cycles,
         });
         let has_iter = iter != NO_REG;
-        // Batch tier: a runtime that does not observe this loop neither
-        // reads nor mutates the iterator or the decision mask, so
-        // materializing a typed view is pure waste. The producer-tag
-        // invalidation below still happens (both engines do it
-        // unconditionally), keeping pairing identical.
-        if self.batch.is_some() && !self.runtime.observes_loop(loop_id) {
+        // A runtime that does not observe this loop neither reads nor
+        // mutates the iterator or the decision mask, so materializing a
+        // typed view is pure waste. The producer-tag invalidation below
+        // still happens (the tree walker does it unconditionally), keeping
+        // pairing identical.
+        if !self.runtime.observes_loop(loop_id) {
             if has_iter {
                 self.producer[iter as usize] = 0;
             }
@@ -748,13 +754,13 @@ impl<'a> VmExec<'a> {
             warp: geom.warp_id,
             cycles,
         });
-        // Batch tier: a runtime that does not observe this hook ignores it
-        // entirely — skip materializing argument/target views. Charges,
-        // stats, telemetry (above) and the target producer invalidation (the
+        // A runtime that does not observe this hook ignores it entirely —
+        // skip materializing argument/target views. Charges, stats,
+        // telemetry (above) and the target producer invalidation (the
         // runtime "may have" corrupted it as far as pairing is concerned)
         // still happen, and `register_corruption` is `None` by the filter's
         // contract.
-        if self.batch.is_some() && !self.runtime.observes_hook(h) {
+        if !self.runtime.observes_hook(h) {
             if let Some(v) = h.target {
                 self.producer[v as usize] = 0;
             }
@@ -832,8 +838,8 @@ impl<'a> VmExec<'a> {
     /// to resume at, or `None` when the charge might exceed the remaining
     /// budget (the caller falls back to per-op dispatch, which reproduces
     /// the exact hang semantics).
-    fn run_region(&mut self, bk: &'a BatchKernel, ri: u32) -> Option<usize> {
-        let r = &bk.regions[ri as usize];
+    fn run_region(&mut self, ri: u32) -> Option<usize> {
+        let r = &self.batch.regions[ri as usize];
         let entry = if r.n_charges == 0 {
             ChargeEntry::default()
         } else {
@@ -898,19 +904,17 @@ impl<'a> VmExec<'a> {
         let mut pc: usize = 0;
         let mut mask = entry_mask;
         let mut frames: Vec<Frame> = Vec::with_capacity(8);
-        let batch = self.batch;
-        let regions = batch.map(|bk| (bk, bk.region_map(width)));
+        let region_at = self.regions.then(|| self.batch.region_map(width));
         loop {
-            // Batch tier: at full mask, a region starting here executes as
-            // one block (precomputed charges, lane-blocked data plane, tag
+            // At full mask, a region starting here executes as one block (precomputed charges, lane-blocked data plane, tag
             // write-back) — unless its charge might not fit the remaining
             // budget, in which case per-op dispatch below reproduces the
             // exact partial charges of the hang.
             if mask == full {
-                if let Some((bk, region_at)) = regions {
+                if let Some(region_at) = region_at {
                     let ri = region_at[pc];
                     if ri != NO_REGION {
-                        if let Some(next) = self.run_region(bk, ri) {
+                        if let Some(next) = self.run_region(ri) {
                             pc = next;
                             continue;
                         }
@@ -1024,14 +1028,14 @@ impl<'a> VmExec<'a> {
                     // `from_bits∘to_bits` is the identity for every element
                     // type except Bool, which masks to bit 0.
                     let vmask = if *elem == PrimTy::Bool { 1 } else { !0u32 };
-                    // Batch tier, full mask: a warp-uniform pointer + index
+                    // Full mask: a warp-uniform pointer + index
                     // (a broadcast load) touches exactly one address — skip
                     // per-lane address math and the segment scan. Charges
                     // match `charge_mem` on a one-segment address set, and
                     // unallocated-read garbage is a pure function of the
                     // address, so the broadcast is bit-exact.
                     let mut broadcast = false;
-                    if batch.is_some() && mask == full {
+                    if mask == full {
                         let (pb, ib) = (*ptr as usize * width, *idx as usize * width);
                         let (p0, i0) = (self.regs[pb], self.regs[ib]);
                         // Branchless OR-reduce over both rows: an early-exit

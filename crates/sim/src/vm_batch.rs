@@ -1,6 +1,6 @@
-//! The batch tier: lane-blocked region execution for the bytecode VM.
+//! Full-mask regions: lane-blocked region execution for the VM.
 //!
-//! The per-op VM in [`crate::vm`] still pays one dispatch, one cycle charge,
+//! Per-op dispatch in [`crate::vm`] pays one dispatch, one cycle charge,
 //! and one producer-tag update *per instruction*. On full-mask straight-line
 //! code — the overwhelmingly common case for the compute kernels the paper
 //! measures — all of that bookkeeping is statically determined by the
@@ -28,15 +28,15 @@
 //! [`TagSrc`] entries), identical trap and hang behavior (a region runs only
 //! if its whole charge fits the remaining budget and contains no fallible
 //! op; otherwise the VM falls back to per-op dispatch, which reproduces the
-//! partial charges an interrupted region would have made). The three-way
-//! differential suite enforces this against both other engines.
+//! partial charges an interrupted region would have made). The differential
+//! suite enforces this against the tree walker and the VM with regions off.
 //!
 //! Ops with *fallible* lanes (integer div/rem, math intrinsics on
 //! non-`f32`, ill-typed combinations) never join a region — they are region
 //! breakers executed by the per-op path, and the region machinery resumes at
 //! the next op.
 
-use crate::bytecode::{compile_cached, CompiledKernel, CACHE_CAP};
+use crate::bytecode::{compile, CompiledKernel};
 use crate::config::CostModel;
 use crate::interp::bin_class;
 use crate::stats::OpClass;
@@ -44,8 +44,6 @@ use crate::vm::call_class;
 use hauberk_kir::batch::{is_charging, plan_batches, TagSrc};
 use hauberk_kir::lower::{LoweredKernel, Op};
 use hauberk_kir::{BinOp, KernelDef, MathFn, PrimTy, Ty, UnOp};
-use hauberk_telemetry::lock_recover;
-use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no region starts at this pc" (mirrors
 /// `hauberk_kir::batch::NO_REGION`).
@@ -558,41 +556,23 @@ pub(crate) fn build_batch(lowered: &LoweredKernel, cost: &CostModel) -> BatchKer
     }
 }
 
-/// A bytecode compilation plus its batch plan. The bytecode half is shared
-/// with (and identical to) what the plain bytecode engine executes — the
-/// batch tier only adds the region fast path on top.
+/// A bytecode compilation plus its batch plan: everything the VM runs, with
+/// full-mask regions on or off.
 #[derive(Debug, Clone)]
 pub struct BatchCompiled {
-    /// The underlying per-op compilation.
-    pub compiled: Arc<CompiledKernel>,
+    /// The per-op compilation.
+    pub compiled: CompiledKernel,
     /// The region plan + charge tables.
     pub batch: BatchKernel,
 }
 
-/// Compile `kernel` for the batch engine (uncached).
+/// Compile `kernel` for the VM (uncached;
+/// [`compile_cached`](crate::bytecode::compile_cached) is the cached entry
+/// point).
 pub fn compile_batch(kernel: &KernelDef, cost: &CostModel) -> BatchCompiled {
-    let compiled = compile_cached(kernel, cost);
+    let compiled = compile(kernel, cost);
     let batch = build_batch(&compiled.lowered, cost);
     BatchCompiled { compiled, batch }
-}
-
-/// Compile `kernel` for the batch engine through the process-wide cache.
-/// A batch plan is keyed by the bytecode compilation it extends, so a hit
-/// costs one [`compile_cached`] lookup plus a pointer comparison.
-pub fn compile_batch_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<BatchCompiled> {
-    static CACHE: Mutex<Vec<Arc<BatchCompiled>>> = Mutex::new(Vec::new());
-    let compiled = compile_cached(kernel, cost);
-    let mut entries = lock_recover(&CACHE);
-    if let Some(b) = entries.iter().find(|b| Arc::ptr_eq(&b.compiled, &compiled)) {
-        return Arc::clone(b);
-    }
-    if entries.len() >= CACHE_CAP {
-        entries.clear();
-    }
-    let batch = build_batch(&compiled.lowered, cost);
-    let b = Arc::new(BatchCompiled { compiled, batch });
-    entries.push(Arc::clone(&b));
-    b
 }
 
 // -- data plane --------------------------------------------------------------
@@ -861,8 +841,10 @@ pub(crate) fn sorted_segment_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::compile_cached;
     use hauberk_kir::builder::KernelBuilder;
     use hauberk_kir::{Expr, PrimTy as P, Ty};
+    use std::sync::Arc;
 
     #[test]
     fn charge_table_pairs_cross_class_independent_ops() {
@@ -961,10 +943,10 @@ mod tests {
         };
         let (k, other) = (probe(4.0), probe(5.0));
         let cost = CostModel::default();
-        let a = compile_batch_cached(&k, &cost);
-        assert!(Arc::ptr_eq(&a, &compile_batch_cached(&k.clone(), &cost)));
-        assert!(Arc::ptr_eq(&a.compiled, &compile_cached(&k, &cost)));
-        let b = compile_batch_cached(&other, &cost);
+        let a = compile_cached(&k, &cost);
+        assert!(Arc::ptr_eq(&a, &compile_cached(&k.clone(), &cost)));
+        assert_eq!(a.compiled, compile_batch(&k, &cost).compiled);
+        let b = compile_cached(&other, &cost);
         assert!(!Arc::ptr_eq(&a, &b), "same name, different kernel");
     }
 

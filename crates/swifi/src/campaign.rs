@@ -54,7 +54,7 @@ pub struct CampaignConfig {
     /// fault deliveries, detector alarms).
     pub trace_path: Option<PathBuf>,
     /// Execution engine for the whole campaign: golden run, profiling,
-    /// checkpoint capture and injections (`None` = the process-wide
+    /// checkpoint capture and injections (`None` = batch, the device
     /// default). The differential suite runs the same campaign under every
     /// engine and asserts identical outcome tallies.
     pub engine: Option<hauberk_sim::ExecEngine>,

@@ -24,7 +24,7 @@
 //! (injections are idempotent: same plan, same seed, same result).
 //!
 //! The identity records only what changes results. The execution engine and
-//! the checkpoint mode do not (the `ExecBackend` contract and the
+//! the checkpoint mode do not (the engines' equivalence contract and the
 //! checkpoint differential suite prove it), so a journal written under one
 //! engine or mode resumes and merges under any other. Version-3 journals
 //! still read: their meta's `engine`/`checkpoint` fields and their `ckpt`

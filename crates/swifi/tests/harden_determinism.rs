@@ -4,15 +4,16 @@
 //! plan the optimizer emits must instrument *exactly* the selected sites
 //! when fed back through the translator.
 //!
-//! Engine default and thread count are process-global knobs, so everything
-//! runs inside one `#[test]` — parallel test threads flipping them would
-//! race each other, not the code under test.
+//! The engine is chosen per run through `HardenConfig.campaign.engine`. The
+//! thread count is a process-global knob, so everything runs inside one
+//! `#[test]` — parallel test threads flipping it would race each other, not
+//! the code under test.
 
 use hauberk::builds::{build_selected, BuildVariant};
 use hauberk::program::HostProgram;
 use hauberk_benchmarks::{cp::Cp, ProblemScale};
 use hauberk_kir::printer::print_kernel;
-use hauberk_sim::{set_default_engine, ExecEngine};
+use hauberk_sim::ExecEngine;
 use hauberk_swifi::campaign::CampaignConfig;
 use hauberk_swifi::harden::{harden, HardenConfig};
 use hauberk_swifi::plan::PlanConfig;
@@ -36,12 +37,12 @@ fn quick_cfg() -> HardenConfig {
 #[test]
 fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
     let prog = Cp::new(ProblemScale::Quick);
-    let cfg = quick_cfg();
 
     let mut reference: Option<(String, String)> = None;
     for engine in ExecEngine::ALL {
+        let mut cfg = quick_cfg();
+        cfg.campaign.engine = Some(engine);
         for threads in [1usize, 4] {
-            set_default_engine(engine);
             rayon::set_thread_count(threads);
             let r = harden(&prog, &cfg)
                 .unwrap_or_else(|e| panic!("harden under {engine}/{threads}t: {e}"));
@@ -61,8 +62,7 @@ fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
             }
         }
     }
-    // Restore the process-wide defaults for any test run after this one.
-    set_default_engine(ExecEngine::Batch);
+    // Restore the process-wide default for any test run after this one.
     rayon::set_thread_count(0);
 
     // Translator round-trip: rebuilding under the emitted plan instruments

@@ -1,6 +1,6 @@
-//! Differential property suite: all three execution engines against each
-//! other — the tree-walking interpreter, the bytecode VM, and the batched
-//! lane-vector VM.
+//! Differential property suite: every execution engine setting against the
+//! others — the tree-walking interpreter, and the VM with full-mask regions
+//! off (`bytecode`) and on (`batch`).
 //!
 //! The compiled engines (`hauberk-sim`'s `vm` and `vm_batch` modules) are
 //! fast because they precompute types, jump targets, charge classes, and —
