@@ -13,18 +13,25 @@
 //! `FiRuntime::new(None)` against `NullRuntime` (asserting identical stats
 //! and output), and records the ratio as `fi_over_null`.
 //!
+//! The profiling launch every campaign starts with is timed too: the
+//! profiler build on the batch engine under `ProfilerRuntime`, recorded per
+//! suite program as `profile_over_golden` (over the batch launch of the
+//! plain kernel). Its execution records (`sorted_execs`) must be identical
+//! on every engine.
+//!
 //! Every time is the median and `[q1, q3]` of the per-round mean over
-//! [`ROUNDS`] interleaved rounds. A suite program's five contenders (three
-//! engines, then the FI build under each runtime) share every round, so
-//! host drift shows as spread rather than moving one contender alone.
+//! [`ROUNDS`] interleaved rounds. A suite program's six contenders (three
+//! engines, the FI build under each runtime, the profiler build) share
+//! every round, so host drift shows as spread rather than moving one
+//! contender alone.
 //!
 //! ```text
 //! interp_bench [--iters N] [--out PATH]
 //! ```
 
-use hauberk::builds::{build, BuildVariant};
+use hauberk::builds::{build, BuildVariant, FtOptions};
 use hauberk::program::HostProgram;
-use hauberk::runtime::FiRuntime;
+use hauberk::runtime::{FiRuntime, ProfilerRuntime};
 use hauberk_bench::cli::process_args;
 use hauberk_bench::report::quartiles;
 use hauberk_benchmarks::{all_programs, ProblemScale};
@@ -147,25 +154,37 @@ fn per_engine(spreads: &[Spread], unit: f64) -> Json {
     )
 }
 
-/// Time every suite program on every engine, and its FI build on the batch
+/// Time every suite program on every engine, its FI build on the batch
 /// engine under `NullRuntime` and the FI runtime with no armed fault (what
-/// every injection of a campaign pays outside its one armed point), all in
-/// the same interleaved rounds; returns the ledger rows and the smallest
-/// batch-over-bytecode median speedup.
+/// every injection of a campaign pays outside its one armed point), and its
+/// profiler build on the batch engine under `ProfilerRuntime` (the
+/// profiling launch of a campaign's setup), all in the same interleaved
+/// rounds; returns the ledger rows and the smallest batch-over-bytecode
+/// median speedup.
 fn suite_matrix() -> (Json, f64) {
     let mut rows = Vec::new();
     let mut worst = f64::INFINITY;
     for prog in all_programs(ProblemScale::Quick) {
         let kernel = prog.build_kernel();
         let fi = build(&kernel, BuildVariant::Fi).expect("FI build").kernel;
+        let profiler = build(&kernel, BuildVariant::Profiler(FtOptions::default()))
+            .expect("profiler build")
+            .kernel;
         // Contenders 0..3 run `kernel` on each engine; 3 and 4 run the FI
-        // build on batch under `NullRuntime` and the unarmed FI runtime.
+        // build on batch under `NullRuntime` and the unarmed FI runtime; 5
+        // runs the profiler build on batch under a fresh profiler.
         let run = |i: usize| {
             let p = prog.as_ref();
             match i {
                 0..=2 => program_launch(p, &kernel, ENGINES[i], &mut NullRuntime),
                 3 => program_launch(p, &fi, ExecEngine::Batch, &mut NullRuntime),
-                _ => program_launch(p, &fi, ExecEngine::Batch, &mut FiRuntime::new(None)),
+                4 => program_launch(p, &fi, ExecEngine::Batch, &mut FiRuntime::new(None)),
+                _ => program_launch(
+                    p,
+                    &profiler,
+                    ExecEngine::Batch,
+                    &mut ProfilerRuntime::default(),
+                ),
             }
         };
         let name = prog.name();
@@ -179,14 +198,28 @@ fn suite_matrix() -> (Json, f64) {
         let (_, fi_stats, fi_out) = run(4);
         assert_eq!(null_stats, fi_stats, "{name}: FI runtime stats diverge");
         assert_eq!(null_out, fi_out, "{name}: FI runtime output diverges");
+        let profile_on = |e: ExecEngine| {
+            let mut pr = ProfilerRuntime::default();
+            program_launch(prog.as_ref(), &profiler, e, &mut pr);
+            pr.sorted_execs()
+        };
+        let ref_execs = profile_on(ENGINES[0]);
+        assert!(
+            !ref_execs.is_empty(),
+            "{name}: the profiler recorded nothing"
+        );
+        for &e in &ENGINES[1..] {
+            assert_eq!(ref_execs, profile_on(e), "{name}: {e} profile diverges");
+        }
 
-        let spread: [Spread; 5] = interleaved_rounds(1, PROGRAM_ROUND, |i| run(i).0);
+        let spread: [Spread; 6] = interleaved_rounds(1, PROGRAM_ROUND, |i| run(i).0);
         let speedup = spread[1].median / spread[2].median;
         worst = worst.min(speedup);
         let fi_over_null = spread[4].median / spread[3].median;
+        let profile_over_golden = spread[5].median / spread[2].median;
         let ms = |i: usize| spread[i].median / 1e6;
         eprintln!(
-            "{name:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms [{:.3}, {:.3}]  batch/bytecode {speedup:>5.2}x  FI/null {fi_over_null:>5.2}x",
+            "{name:>12}: tree-walk {:>9.3} ms  bytecode {:>7.3} ms  batch {:>7.3} ms [{:.3}, {:.3}]  batch/bytecode {speedup:>5.2}x  FI/null {fi_over_null:>5.2}x  profile/golden {profile_over_golden:>5.2}x",
             ms(0),
             ms(1),
             ms(2),
@@ -203,6 +236,8 @@ fn suite_matrix() -> (Json, f64) {
                     Json::obj([("null", spread[3].json(1e6)), ("fi", spread[4].json(1e6))]),
                 ),
                 ("fi_over_null", Json::Num(fi_over_null)),
+                ("profile_ms_per_launch", spread[5].json(1e6)),
+                ("profile_over_golden", Json::Num(profile_over_golden)),
             ]),
         ));
     }

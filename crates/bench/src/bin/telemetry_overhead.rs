@@ -12,11 +12,18 @@
 //! per run, `spans_off` takes the `with_spans(false)` early-out. Their ratio
 //! is reported as `span_overhead_pct` (target: < 1%).
 //!
+//! The modes take turns batch by batch over interleaved rounds, so they
+//! share the machine's drift. Every figure is the median and `[q1, q3]`
+//! over the rounds; an overhead is the per-round ratio to the baseline's
+//! batch in the same round. An overhead whose `[q1, q3]` spans 0 is
+//! reported as within noise: the host's spread is larger than the cost.
+//!
 //! ```text
 //! telemetry_overhead [--iters N] [--out PATH]
 //! ```
 
 use hauberk_bench::cli::process_args;
+use hauberk_bench::report::quartiles;
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
 use hauberk_kir::{PrimTy, Value};
@@ -60,6 +67,31 @@ fn batch(kernel: &KernelDef, tele: &Telemetry, iters: u32) -> f64 {
     t.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Whether an overhead's `[q1, q3]` spans 0.
+fn within_noise([q1, _, q3]: [f64; 3]) -> bool {
+    q1 <= 0.0 && 0.0 <= q3
+}
+
+/// `+1.23% [+0.50, +2.10]`, with "within noise" when the interval spans 0.
+fn describe(pct: [f64; 3]) -> String {
+    let [q1, median, q3] = pct;
+    let noise = if within_noise(pct) {
+        " (within noise)"
+    } else {
+        ""
+    };
+    format!("{median:+.2}% [{q1:+.2}, {q3:+.2}]{noise}")
+}
+
+/// `{"median":…,"q1":…,"q3":…}`.
+fn spread_json([q1, median, q3]: [f64; 3]) -> Json {
+    Json::obj([
+        ("median", Json::Num(median)),
+        ("q1", Json::Num(q1)),
+        ("q3", Json::Num(q3)),
+    ])
+}
+
 fn main() {
     let args = process_args(&[("--iters", true), ("--out", true)]);
     let iters: u32 = args.get_or("--iters", 300);
@@ -93,58 +125,59 @@ fn main() {
         ("memory_sink", Telemetry::new(Arc::new(memory))),
     ];
 
-    // Interleave the modes round-robin and keep each mode's fastest round:
-    // back-to-back batches see the same machine state, so slow drift
-    // (thermal, scheduler) cancels instead of biasing whichever mode ran
-    // last.
+    // Interleave the modes round-robin: back-to-back batches see the same
+    // machine state, so slow drift (thermal, scheduler) shows as spread
+    // instead of biasing whichever mode ran last.
     const ROUNDS: u32 = 11;
     let per_round = (iters / ROUNDS).max(1);
     for (_, tele) in &modes {
         one_launch(&kernel, tele); // warm up allocator + caches once per mode
     }
-    let mut best = vec![f64::INFINITY; modes.len()];
+    let mut rounds: Vec<Vec<f64>> = vec![Vec::new(); modes.len()];
     for _ in 0..ROUNDS {
         for (i, (_, tele)) in modes.iter().enumerate() {
-            best[i] = best[i].min(batch(&kernel, tele, per_round));
+            rounds[i].push(batch(&kernel, tele, per_round));
         }
     }
-    let results: Vec<(&str, f64)> = modes
-        .iter()
-        .zip(&best)
-        .map(|(&(name, _), &ns)| (name, ns))
-        .collect();
-    for &(name, ns) in &results {
-        eprintln!("{name:>14}: {ns:>12.0} ns/launch");
-    }
-
-    let baseline = results[0].1;
-    let entries: Vec<(String, Json)> = results
-        .iter()
-        .map(|&(name, ns)| {
-            (
-                name.to_string(),
-                Json::obj([
-                    ("ns_per_launch", Json::Num(ns)),
-                    ("overhead_pct", Json::Num((ns / baseline - 1.0) * 100.0)),
-                ]),
-            )
-        })
-        .collect();
-    let ns_of = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, ns)| ns)
-            .unwrap_or(f64::NAN)
+    // Per-round overhead of mode `i` over mode `base`, in percent.
+    let overhead = |i: usize, base: usize| -> Vec<f64> {
+        let pairs = rounds[i].iter().zip(&rounds[base]);
+        pairs.map(|(ns, b)| (ns / b - 1.0) * 100.0).collect()
     };
-    let span_overhead_pct = (ns_of("spans_on") / ns_of("spans_off") - 1.0) * 100.0;
-    eprintln!("span overhead (spans_on vs spans_off): {span_overhead_pct:.2}%");
+    let mode_of = |name: &str| {
+        let i = modes.iter().position(|(n, _)| *n == name);
+        i.expect("a mode of the table above")
+    };
+    let mut entries = Vec::new();
+    for (i, (name, _)) in modes.iter().enumerate() {
+        let ns = quartiles(&mut rounds[i].clone());
+        let pct = quartiles(&mut overhead(i, 0));
+        eprintln!(
+            "{name:>14}: {:>12.0} ns/launch [{:.0}, {:.0}]  overhead {}",
+            ns[1],
+            ns[0],
+            ns[2],
+            describe(pct)
+        );
+        entries.push((
+            name.to_string(),
+            Json::obj([
+                ("ns_per_launch", spread_json(ns)),
+                ("overhead_pct", spread_json(pct)),
+                ("within_noise", Json::Bool(within_noise(pct))),
+            ]),
+        ));
+    }
+    let span = quartiles(&mut overhead(mode_of("spans_on"), mode_of("spans_off")));
+    eprintln!("span overhead (spans_on vs spans_off): {}", describe(span));
     let doc = Json::obj([
         ("bench", Json::str("telemetry_overhead")),
         ("kernel", Json::str("spin fp_loop_16x32")),
         ("iters", Json::uint(iters as u64)),
         ("results", Json::Obj(entries.into_iter().collect())),
-        ("span_overhead_pct", Json::Num(span_overhead_pct)),
+        ("rounds", Json::uint(ROUNDS as u64)),
+        ("span_overhead_pct", spread_json(span)),
+        ("span_within_noise", Json::Bool(within_noise(span))),
     ]);
     let rendered = format!("{doc}\n");
     match out_path {

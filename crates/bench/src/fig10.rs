@@ -65,9 +65,7 @@ pub fn run(scale: ProblemScale) -> Vec<VarDistribution> {
 
     let mut out = Vec::new();
     for site in &b.fi.sites {
-        let Some(samples) = pr.site_samples.get(&site.site) else {
-            continue;
-        };
+        let samples = pr.site_samples(site.site);
         if samples.is_empty() {
             continue;
         }

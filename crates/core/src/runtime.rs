@@ -9,72 +9,146 @@ use hauberk_kir::HookKind;
 use hauberk_sim::fault::{ArmedFault, FaultArm};
 use hauberk_sim::hooks::{HookCtx, HookRuntime, LoopCheckCtx};
 use hauberk_telemetry::{Event, Telemetry};
-use std::collections::HashMap;
 
 /// Cap on recorded per-site value samples (Fig. 10 tracing).
-const SITE_SAMPLE_CAP: usize = 8192;
+pub const SITE_SAMPLE_CAP: usize = 8192;
 
 /// The profiler library: records the averaged-accumulator samples the
 /// FT build later range-checks, per-site execution counts (to enumerate and
 /// weight fault-injection targets), and per-site value samples (Fig. 10).
+///
+/// The records are dense: a site keeps one execution counter per thread
+/// from its lowest to its highest executing thread, indexed by global
+/// thread id, so a dispatch adds to its lanes' counters with no hashing.
+/// Sites and detectors are kept in id order and found by binary search
+/// once per warp dispatch (their ids come from the translator, or from
+/// submitted KIR text, so they are not used as indices).
 #[derive(Debug, Default)]
 pub struct ProfilerRuntime {
-    /// Per-detector samples of the averaged accumulator value.
-    pub detector_samples: HashMap<u32, Vec<f64>>,
-    /// Dynamic execution count per (site, thread).
-    pub exec_counts: HashMap<(SiteId, u32), u64>,
-    /// Value samples per site (the defined variable's value), capped.
-    pub site_samples: HashMap<SiteId, Vec<f64>>,
+    /// `(detector, samples of the averaged accumulator value)`, by detector.
+    detectors: Vec<(u32, Vec<f64>)>,
+    /// `(site, record)`, by site.
+    sites: Vec<(SiteId, SiteRecord)>,
+}
+
+/// What the profiler recorded at one `CountExec` site.
+#[derive(Debug, Default)]
+struct SiteRecord {
+    /// Global thread id of `counts[0]`.
+    first: u32,
+    /// Dynamic execution count per thread from `first` on (0 = a thread in
+    /// the span that never executed the site).
+    counts: Vec<u64>,
+    /// Values of the defined variable, capped at [`SITE_SAMPLE_CAP`].
+    samples: Vec<f64>,
+}
+
+impl SiteRecord {
+    /// The counters of threads `lo..=hi`, grown to cover them.
+    fn span(&mut self, lo: u32, hi: u32) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            // A thread below the span (a later launch restarts the thread
+            // ids): prepend zeros.
+            let grow = (self.first - lo) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        let end = (hi - self.first) as usize + 1;
+        if self.counts.len() < end {
+            self.counts.resize(end, 0);
+        }
+        &mut self.counts[(lo - self.first) as usize..end]
+    }
+}
+
+/// The entry for `id` in `v` (sorted by id), inserted empty if absent.
+fn entry<T: Default>(v: &mut Vec<(u32, T)>, id: u32) -> &mut T {
+    let i = match v.binary_search_by_key(&id, |e| e.0) {
+        Ok(i) => i,
+        Err(i) => {
+            v.insert(i, (id, T::default()));
+            i
+        }
+    };
+    &mut v[i].1
+}
+
+/// The entry for `id` in `v` (sorted by id).
+fn find<T>(v: &[(u32, T)], id: u32) -> Option<&T> {
+    v.binary_search_by_key(&id, |e| e.0).ok().map(|i| &v[i].1)
 }
 
 impl ProfilerRuntime {
     /// Samples for detector `det` (empty slice if none).
     pub fn samples(&self, det: u32) -> &[f64] {
-        self.detector_samples
-            .get(&det)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        find(&self.detectors, det).map_or(&[], |s| s.as_slice())
+    }
+
+    /// Value samples of `site`'s defined variable, in execution order and
+    /// capped at [`SITE_SAMPLE_CAP`] (empty slice if none).
+    pub fn site_samples(&self, site: SiteId) -> &[f64] {
+        find(&self.sites, site).map_or(&[], |r| r.samples.as_slice())
     }
 
     /// Total dynamic executions of `site` across threads.
     pub fn total_execs(&self, site: SiteId) -> u64 {
-        self.exec_counts
-            .iter()
-            .filter(|((s, _), _)| *s == site)
-            .map(|(_, c)| *c)
-            .sum()
+        find(&self.sites, site).map_or(0, |r| r.counts.iter().sum())
     }
 
-    /// Every `(site, thread, count)` execution record, sorted by site and
-    /// then thread: one site's threads are a contiguous run, so a caller
-    /// looking up many sites (the campaign planner, once per planned
-    /// injection) binary-searches instead of rescanning `exec_counts`.
+    /// Every `(site, thread, count)` execution record with a nonzero count,
+    /// sorted by site and then thread: one site's threads are a contiguous
+    /// run, so a caller looking up many sites (the campaign planner, once
+    /// per planned injection) binary-searches. The records are kept in
+    /// this order, so this is one walk with no sort.
     pub fn sorted_execs(&self) -> Vec<(SiteId, u32, u64)> {
-        let mut execs = Vec::with_capacity(self.exec_counts.len());
-        execs.extend(self.exec_counts.iter().map(|(&(s, t), &c)| (s, t, c)));
-        execs.sort_unstable();
+        let mut execs = Vec::new();
+        for (site, r) in &self.sites {
+            execs.extend(
+                (r.first..)
+                    .zip(&r.counts)
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(t, &c)| (*site, t, c)),
+            );
+        }
         execs
     }
 }
 
 impl HookRuntime for ProfilerRuntime {
     fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx<'_>) {
+        let active = ctx.active;
+        // No lane to record (and no lowest or highest lane to span).
+        if active == 0 {
+            return;
+        }
         match &hook.kind {
             HookKind::Profile { detector } => {
-                let samples = self.detector_samples.entry(*detector).or_default();
+                let samples = entry(&mut self.detectors, *detector);
                 for lane in ctx.active_lanes() {
-                    samples.push(ctx.args[0][lane as usize].as_numeric_f64());
+                    samples.push(ctx.arg(0, lane).as_numeric_f64());
                 }
             }
             HookKind::CountExec => {
-                for lane in ctx.active_lanes() {
-                    let t = ctx.thread_of(lane);
-                    *self.exec_counts.entry((hook.site, t)).or_insert(0) += 1;
-                    if let Some(target) = ctx.target.as_deref() {
-                        let s = self.site_samples.entry(hook.site).or_default();
-                        if s.len() < SITE_SAMPLE_CAP {
-                            s.push(target[lane as usize].as_numeric_f64());
-                        }
+                let r = entry(&mut self.sites, hook.site);
+                let (lo, hi) = (active.trailing_zeros(), 31 - active.leading_zeros());
+                let counts = r.span(ctx.thread_of(lo), ctx.thread_of(hi));
+                let mut m = active;
+                while m != 0 {
+                    let lane = m.trailing_zeros();
+                    m &= m - 1;
+                    counts[(lane - lo) as usize] += 1;
+                }
+                // The first active lanes' target values, up to the cap.
+                let room = SITE_SAMPLE_CAP - r.samples.len();
+                if room > 0 && ctx.target(lo).is_some() {
+                    let mut m = active;
+                    for _ in 0..room.min(active.count_ones() as usize) {
+                        let lane = m.trailing_zeros();
+                        m &= m - 1;
+                        let v = ctx.target(lane).expect("the hook has a target");
+                        r.samples.push(v.as_numeric_f64());
                     }
                 }
             }
@@ -198,7 +272,7 @@ fn ft_dispatch(
         HookKind::CheckRange { detector } => {
             let det = *detector as usize;
             for lane in ctx.active_lanes() {
-                let v = ctx.args[0][lane as usize].as_numeric_f64();
+                let v = ctx.arg(0, lane).as_numeric_f64();
                 let inside = cb.ranges.get(det).map(|r| r.contains(v)).unwrap_or(false);
                 if !inside {
                     raise_traced(
@@ -217,8 +291,8 @@ fn ft_dispatch(
         HookKind::CheckEqual { detector } => {
             let det = *detector as usize;
             for lane in ctx.active_lanes() {
-                let a = ctx.args[0][lane as usize].as_numeric_f64();
-                let b = ctx.args[1][lane as usize].as_numeric_f64();
+                let a = ctx.arg(0, lane).as_numeric_f64();
+                let b = ctx.arg(1, lane).as_numeric_f64();
                 if a != b {
                     raise_traced(
                         cb,
@@ -234,7 +308,7 @@ fn ft_dispatch(
         }
         HookKind::ChecksumCheck => {
             for lane in ctx.active_lanes() {
-                let chk = ctx.args[0][lane as usize].to_bits();
+                let chk = ctx.arg(0, lane).to_bits();
                 if chk != 0 {
                     raise_traced(
                         cb,
@@ -524,7 +598,7 @@ mod tests {
     use crate::ranges::profile_ranges;
     use hauberk_kir::{HwComponent, Value};
     use hauberk_sim::fault::FaultSite;
-    use hauberk_sim::NullRuntime;
+    use hauberk_sim::{Lanes, NullRuntime};
 
     fn mk_ctx<'a>(args: &'a [Vec<Value>]) -> HookCtx<'a> {
         HookCtx {
@@ -534,8 +608,7 @@ mod tests {
             warp_width: 1,
             first_thread: 0,
             cycles: 0,
-            args,
-            target: None,
+            lanes: Lanes::values(args, None),
         }
     }
 
@@ -639,13 +712,83 @@ mod tests {
             warp_width: 1,
             first_thread: 3,
             cycles: 0,
-            args: &args,
-            target: Some(&mut target),
+            lanes: Lanes::values(&args, Some(&mut target)),
         };
         pr.on_hook(&count_hook, &mut ctx);
         assert_eq!(pr.total_execs(9), 1);
         assert_eq!(pr.sorted_execs(), vec![(9, 3, 1)]);
-        assert_eq!(pr.site_samples[&9], vec![42.0]);
+        assert_eq!(pr.site_samples(9), &[42.0]);
+    }
+
+    /// The dense records against a map model: sites first seen out of
+    /// order, warps with gaps in their masks, and a later launch whose
+    /// threads lie below every recorded one all come out as the sorted
+    /// `(site, thread, count)` records of the executed pairs; a site's
+    /// samples stop at the cap.
+    #[test]
+    fn profiler_records_match_a_map_model() {
+        let mut pr = ProfilerRuntime::default();
+        let mut model = std::collections::BTreeMap::new();
+        let count_hook = |site| Hook {
+            kind: HookKind::CountExec,
+            site,
+            args: vec![],
+            target: None,
+        };
+        let dispatches = [
+            (9, 64, 0b1011u32),
+            (2, 64, 0b0110),
+            (9, 68, 0b0001),
+            (5, 0, 0b1000),
+            (9, 4, 0b1111),
+            (2, 64, 0b0110),
+        ];
+        for (site, first_thread, active) in dispatches {
+            let mut target = vec![Value::I32(site as i32); 4];
+            let mut ctx = HookCtx {
+                block_id: 0,
+                warp_id: 0,
+                active,
+                warp_width: 4,
+                first_thread,
+                cycles: 0,
+                lanes: Lanes::values(&[], Some(&mut target)),
+            };
+            pr.on_hook(&count_hook(site), &mut ctx);
+            for lane in 0..4 {
+                if active & (1 << lane) != 0 {
+                    *model.entry((site, first_thread + lane)).or_insert(0u64) += 1;
+                }
+            }
+        }
+        let want: Vec<_> = model.iter().map(|(&(s, t), &c)| (s, t, c)).collect();
+        assert_eq!(pr.sorted_execs(), want);
+        assert_eq!(pr.total_execs(9), 8);
+        assert_eq!(pr.total_execs(3), 0);
+        assert_eq!(pr.site_samples(2), &[2.0; 4]);
+        assert_eq!(pr.site_samples(3), &[] as &[f64]);
+
+        let mut pr = ProfilerRuntime::default();
+        for i in 0..SITE_SAMPLE_CAP / 2 + 1 {
+            let mut target = vec![Value::F32(i as f32), Value::F32(-(i as f32))];
+            let mut ctx = HookCtx {
+                block_id: 0,
+                warp_id: 0,
+                active: 0b11,
+                warp_width: 2,
+                first_thread: 0,
+                cycles: 0,
+                lanes: Lanes::values(&[], Some(&mut target)),
+            };
+            pr.on_hook(&count_hook(1), &mut ctx);
+        }
+        let samples = pr.site_samples(1);
+        assert_eq!(samples.len(), SITE_SAMPLE_CAP);
+        assert_eq!(
+            samples[SITE_SAMPLE_CAP - 1],
+            -((SITE_SAMPLE_CAP / 2 - 1) as f64)
+        );
+        assert_eq!(pr.total_execs(1), SITE_SAMPLE_CAP as u64 + 2);
     }
 
     /// The state the interest-filter contract pins, per runtime: the arm's
@@ -743,8 +886,7 @@ mod tests {
                 warp_width: 2,
                 first_thread: 0,
                 cycles: 77,
-                args: &args,
-                target: Some(&mut target),
+                lanes: Lanes::values(&args, Some(&mut target)),
             };
             rt.on_hook(&hook, &mut ctx);
             assert_eq!(target, vec![Value::I32(5); 2], "{label}: {hook:?} target");
@@ -770,7 +912,7 @@ mod tests {
                 first_thread: 0,
                 cycles: 77,
                 iteration: 0,
-                iter_var: Some(&mut iter),
+                lanes: Lanes::values(&[], Some(&mut iter)),
                 cond_mask: &mut cond,
             };
             rt.on_loop_check(loop_id, &mut ctx);
@@ -813,8 +955,7 @@ mod tests {
                     warp_width: 2,
                     first_thread: 32,
                     cycles: 77,
-                    args: &args,
-                    target: Some(&mut target),
+                    lanes: Lanes::values(&args, Some(&mut target)),
                 };
                 rt.on_hook(&hook, &mut ctx);
                 assert_eq!(target, vec![Value::I32(5); 2], "{label}: {hook:?} target");
@@ -834,7 +975,7 @@ mod tests {
                         first_thread: 32,
                         cycles: 77,
                         iteration: 0,
-                        iter_var: Some(&mut iter),
+                        lanes: Lanes::values(&[], Some(&mut iter)),
                         cond_mask: &mut cond,
                     },
                 );

@@ -117,6 +117,7 @@ impl Value {
 
     /// Lossless 32-bit encoding of the value (IEEE bits for `f32`, two's
     /// complement for `i32`, `0`/`1` for `bool`, the address for pointers).
+    #[inline]
     pub fn to_bits(&self) -> u32 {
         match self {
             Value::F32(v) => v.to_bits(),
@@ -128,6 +129,7 @@ impl Value {
     }
 
     /// Rebuild a value of primitive type `ty` from its 32-bit encoding.
+    #[inline]
     pub fn from_bits(ty: PrimTy, bits: u32) -> Value {
         match ty {
             PrimTy::F32 => Value::F32(f32::from_bits(bits)),
@@ -198,6 +200,7 @@ impl Value {
 
     /// Numeric value as `f64` for statistics/accumulation purposes
     /// (pointers yield their address).
+    #[inline]
     pub fn as_numeric_f64(&self) -> f64 {
         match self {
             Value::F32(v) => *v as f64,

@@ -184,8 +184,7 @@ impl FaultArm {
         let Some(lane) = self.tick(&f, ctx.first_thread, ctx.active, ctx.warp_width) else {
             return;
         };
-        if let Some(target) = ctx.target.as_deref_mut() {
-            target[lane as usize] = target[lane as usize].xor_bits(f.mask);
+        if ctx.xor_target(lane, f.mask) {
             self.delivered = true;
         }
     }
@@ -200,11 +199,8 @@ impl FaultArm {
             return;
         };
         match f.site {
-            FaultSite::LoopIterator { .. } => {
-                if let Some(iv) = ctx.iter_var.as_deref_mut() {
-                    iv[lane as usize] = iv[lane as usize].xor_bits(f.mask);
-                    self.delivered = true;
-                }
+            FaultSite::LoopIterator { .. } if ctx.xor_iter(lane, f.mask) => {
+                self.delivered = true;
             }
             FaultSite::LoopDecision { .. } => {
                 *ctx.cond_mask ^= 1 << lane;
@@ -257,9 +253,10 @@ impl MemoryBurst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hooks::Lanes;
     use hauberk_kir::Value;
 
-    fn ctx_with_target<'a>(target: &'a mut Vec<Value>, args: &'a [Vec<Value>]) -> HookCtx<'a> {
+    fn ctx_with_target<'a>(target: &'a mut [Value], args: &'a [Vec<Value>]) -> HookCtx<'a> {
         HookCtx {
             block_id: 0,
             warp_id: 0,
@@ -267,8 +264,7 @@ mod tests {
             warp_width: 2,
             first_thread: 0,
             cycles: 0,
-            args,
-            target: Some(target),
+            lanes: Lanes::values(args, Some(target)),
         }
     }
 
@@ -316,8 +312,7 @@ mod tests {
             warp_width: 1,
             first_thread: 0,
             cycles: 0,
-            args: &args,
-            target: Some(&mut target),
+            lanes: Lanes::values(&args, Some(&mut target)),
         };
         arm.at_hook(4, &mut ctx);
         assert!(!arm.delivered());
@@ -340,7 +335,7 @@ mod tests {
             first_thread: 0,
             cycles: 0,
             iteration: 0,
-            iter_var: None,
+            lanes: Lanes::values(&[], None),
             cond_mask: &mut cond,
         };
         arm.at_loop_check(0, &mut ctx);

@@ -12,17 +12,167 @@
 //! **SM-scheduler faults** (corrupting a loop iterator or a branch decision)
 //! without rewriting the AST.
 //!
+//! A runtime reads a dispatch point's per-lane values **in place**, through
+//! typed accessors over the engine's own storage ([`Lanes`]): the VM's raw
+//! register rows with their static types, or the tree walker's
+//! `Vec<Value>`s. [`HookCtx::arg`] reads an argument (`Value::I32(0)` on an
+//! inactive lane, as the tree walker's `zero_inactive` leaves it),
+//! [`HookCtx::target`] the target variable on any lane (stale lanes
+//! included), and [`HookCtx::xor_target`] corrupts the target exactly as
+//! `Value::xor_bits` would — the only write a runtime can make, so the
+//! register keeps its static type. [`LoopCheckCtx::iter`] and
+//! [`LoopCheckCtx::xor_iter`] do the same for a loop's iterator. Nothing
+//! is copied into a view or written back.
+//!
 //! A runtime declares which dispatch points it acts on through its
 //! **interest filter**, [`HookRuntime::observes_hook`] and
 //! [`HookRuntime::observes_loop`]. An FI runtime arms one (site, thread,
 //! occurrence), so every other FI hook is a no-op for it. The VM (regions on
-//! or off) skips the typed lane views and the callbacks at a point the
-//! runtime does not observe; its charges, statistics, telemetry and
-//! producer-tag invalidation are unchanged. The tree walker dispatches every
-//! point, so it stays the unfiltered reference.
+//! or off) skips the callbacks at a point the runtime does not observe; its
+//! charges, statistics, telemetry and producer-tag invalidation are
+//! unchanged. The tree walker dispatches every point, so it stays the
+//! unfiltered reference.
 
 use hauberk_kir::stmt::LoopId;
-use hauberk_kir::{Hook, Value};
+use hauberk_kir::{Hook, PtrVal, Ty, Value};
+
+/// Reconstruct a typed [`Value`] from a raw register word. Exact inverse of
+/// `Value::to_bits` given the static type (`Bool` masks to bit 0 like
+/// `Value::from_bits`; pointers carry their static space/element type).
+#[inline(always)]
+pub(crate) fn value_of(ty: Ty, raw: u32) -> Value {
+    match ty {
+        Ty::Prim(p) => Value::from_bits(p, raw),
+        Ty::Ptr { space, elem } => Value::Ptr(PtrVal {
+            space,
+            addr: raw,
+            elem,
+        }),
+    }
+}
+
+/// `Value::xor_bits` on a raw register word of static type `ty`: a raw XOR,
+/// masked to bit 0 for `Bool`.
+#[inline(always)]
+pub(crate) fn xor_word(ty: Ty, raw: u32, mask: u32) -> u32 {
+    let x = raw ^ mask;
+    if ty == Ty::BOOL {
+        x & 1
+    } else {
+        x
+    }
+}
+
+/// The per-lane values a dispatch point hands its runtime, left where the
+/// engine keeps them. Runtimes read and write them in place, through
+/// [`HookCtx::arg`], [`HookCtx::target`], [`HookCtx::xor_target`] and the
+/// [`LoopCheckCtx`] iterator accessors; nothing is copied in or out.
+pub struct Lanes<'a>(Store<'a>);
+
+enum Store<'a> {
+    /// The VM's raw register file: `regs[r * width + lane]` holds
+    /// `Value::to_bits` of a value of the register's static type.
+    Raw {
+        regs: &'a mut [u32],
+        width: usize,
+        /// First argument register (arguments are consecutive).
+        args: usize,
+        /// Static type of each argument.
+        arg_tys: &'a [Ty],
+        /// The mutable register (a hook's target, a loop's iterator) and
+        /// its static type.
+        row: Option<(usize, Ty)>,
+    },
+    /// Typed values: `args[i][lane]` and the mutable register's lanes (the
+    /// tree walker's registers).
+    Values {
+        args: &'a [Vec<Value>],
+        row: Option<&'a mut [Value]>,
+    },
+}
+
+impl<'a> Lanes<'a> {
+    /// Lanes over typed values: `args[i][lane]`, and the lanes of the
+    /// mutable register (a hook's target, a loop's iterator), if any.
+    pub fn values(args: &'a [Vec<Value>], row: Option<&'a mut [Value]>) -> Self {
+        Lanes(Store::Values { args, row })
+    }
+
+    /// Lanes over the VM's raw register file: `arg_tys.len()` arguments in
+    /// consecutive registers from `args`, and the mutable register `row`
+    /// with its static type.
+    pub(crate) fn raw(
+        regs: &'a mut [u32],
+        width: usize,
+        args: usize,
+        arg_tys: &'a [Ty],
+        row: Option<(usize, Ty)>,
+    ) -> Self {
+        Lanes(Store::Raw {
+            regs,
+            width,
+            args,
+            arg_tys,
+            row,
+        })
+    }
+
+    #[inline]
+    fn n_args(&self) -> usize {
+        match &self.0 {
+            Store::Raw { arg_tys, .. } => arg_tys.len(),
+            Store::Values { args, .. } => args.len(),
+        }
+    }
+
+    #[inline]
+    fn arg(&self, i: usize, lane: u32) -> Value {
+        match &self.0 {
+            Store::Raw {
+                regs,
+                width,
+                args,
+                arg_tys,
+                ..
+            } => value_of(arg_tys[i], regs[(args + i) * width + lane as usize]),
+            Store::Values { args, .. } => args[i][lane as usize],
+        }
+    }
+
+    #[inline]
+    fn row(&self, lane: u32) -> Option<Value> {
+        match &self.0 {
+            Store::Raw {
+                regs, width, row, ..
+            } => {
+                let (r, ty) = (*row)?;
+                Some(value_of(ty, regs[r * width + lane as usize]))
+            }
+            Store::Values { row, .. } => row.as_deref().map(|v| v[lane as usize]),
+        }
+    }
+
+    #[inline]
+    fn xor_row(&mut self, lane: u32, mask: u32) -> bool {
+        match &mut self.0 {
+            Store::Raw {
+                regs, width, row, ..
+            } => {
+                let Some((r, ty)) = *row else { return false };
+                let w = &mut regs[r * *width + lane as usize];
+                *w = xor_word(ty, *w, mask);
+                true
+            }
+            Store::Values { row, .. } => match row.as_deref_mut() {
+                Some(v) => {
+                    v[lane as usize] = v[lane as usize].xor_bits(mask);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+}
 
 /// Warp-level context handed to a hook.
 pub struct HookCtx<'a> {
@@ -39,23 +189,56 @@ pub struct HookCtx<'a> {
     /// Accumulated work cycles of the launch at dispatch time — the
     /// simulated-clock timestamp used for detection-latency telemetry.
     pub cycles: u64,
-    /// Evaluated hook arguments: `args[i][lane]`.
-    pub args: &'a [Vec<Value>],
-    /// Per-lane values of the hook's target variable, mutable so a fault
-    /// injector can corrupt the just-defined state (Fig. 12).
-    pub target: Option<&'a mut Vec<Value>>,
+    /// The evaluated arguments and the target variable, in the engine's
+    /// storage; read them through [`HookCtx::arg`] and
+    /// [`HookCtx::target`].
+    pub lanes: Lanes<'a>,
 }
 
 impl HookCtx<'_> {
     /// Iterate over active lanes.
+    #[inline]
     pub fn active_lanes(&self) -> impl Iterator<Item = u32> + '_ {
         let mask = self.active;
         (0..self.warp_width).filter(move |l| mask & (1 << l) != 0)
     }
 
     /// Global linear thread id of `lane`.
+    #[inline]
     pub fn thread_of(&self, lane: u32) -> u32 {
         self.first_thread + lane
+    }
+
+    /// Number of hook arguments.
+    #[inline]
+    pub fn n_args(&self) -> usize {
+        self.lanes.n_args()
+    }
+
+    /// Argument `i` on `lane`: an inactive lane reads `Value::I32(0)`, as
+    /// the tree walker's `zero_inactive` leaves it.
+    #[inline]
+    pub fn arg(&self, i: usize, lane: u32) -> Value {
+        if self.active & (1 << lane) == 0 {
+            return Value::I32(0);
+        }
+        self.lanes.arg(i, lane)
+    }
+
+    /// The hook's target variable on `lane` (`None` for a hook without a
+    /// target). Inactive lanes read the register's stale value.
+    #[inline]
+    pub fn target(&self, lane: u32) -> Option<Value> {
+        self.lanes.row(lane)
+    }
+
+    /// Flip the `mask` bits of the target variable on `lane`, exactly as
+    /// `Value::xor_bits` does (a `Bool` keeps only bit 0) — the one way a
+    /// fault injector corrupts the just-defined state (Fig. 12). Returns
+    /// whether the hook has a target.
+    #[inline]
+    pub fn xor_target(&mut self, lane: u32, mask: u32) -> bool {
+        self.lanes.xor_row(lane, mask)
     }
 }
 
@@ -76,9 +259,11 @@ pub struct LoopCheckCtx<'a> {
     /// How many times this warp has evaluated this loop's condition in the
     /// current loop instance (0 on entry).
     pub iteration: u64,
-    /// Per-lane iterator values (for `for` loops), mutable so a scheduler
-    /// fault can corrupt the iterator.
-    pub iter_var: Option<&'a mut Vec<Value>>,
+    /// The iterator variable (for `for` loops) in the engine's storage, as
+    /// the mutable register of [`Lanes`] with no arguments; read and
+    /// corrupt it through [`LoopCheckCtx::iter`] and
+    /// [`LoopCheckCtx::xor_iter`].
+    pub lanes: Lanes<'a>,
     /// The lane mask the condition evaluated to; a scheduler fault may flip
     /// bits to corrupt the control-flow decision.
     pub cond_mask: &'a mut u32,
@@ -86,9 +271,24 @@ pub struct LoopCheckCtx<'a> {
 
 impl LoopCheckCtx<'_> {
     /// Iterate over active lanes.
+    #[inline]
     pub fn active_lanes(&self) -> impl Iterator<Item = u32> + '_ {
         let mask = self.active;
         (0..self.warp_width).filter(move |l| mask & (1 << l) != 0)
+    }
+
+    /// The loop iterator on `lane` (`None` when the loop has none).
+    #[inline]
+    pub fn iter(&self, lane: u32) -> Option<Value> {
+        self.lanes.row(lane)
+    }
+
+    /// Flip the `mask` bits of the iterator on `lane`, as
+    /// [`HookCtx::xor_target`] does for a target. Returns whether the loop
+    /// has an iterator.
+    #[inline]
+    pub fn xor_iter(&mut self, lane: u32, mask: u32) -> bool {
+        self.lanes.xor_row(lane, mask)
     }
 }
 
@@ -208,8 +408,7 @@ mod tests {
             warp_width: 8,
             first_thread: 16,
             cycles: 0,
-            args: &args,
-            target: None,
+            lanes: Lanes::values(&args, None),
         };
         let lanes: Vec<u32> = ctx.active_lanes().collect();
         assert_eq!(lanes, vec![1, 3]);

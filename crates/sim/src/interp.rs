@@ -7,7 +7,7 @@
 //! accesses, illegal instructions) and budget exhaustion abort the launch.
 
 use crate::config::{CostModel, DeviceConfig};
-use crate::hooks::{HookCtx, HookRuntime, LoopCheckCtx};
+use crate::hooks::{HookCtx, HookRuntime, Lanes, LoopCheckCtx};
 use crate::memory::MemRegion;
 use crate::outcome::TrapReason;
 use crate::stats::{ExecStats, OpClass};
@@ -755,7 +755,7 @@ impl<'a> WarpExec<'a> {
             cycles,
         });
         {
-            let iter_slot = iter_var.map(|v| &mut self.regs[v as usize]);
+            let iter_slot = iter_var.map(|v| self.regs[v as usize].as_mut_slice());
             let mut ctx = LoopCheckCtx {
                 block_id: geom.block_lin(),
                 warp_id: geom.warp_id,
@@ -764,7 +764,7 @@ impl<'a> WarpExec<'a> {
                 first_thread,
                 cycles,
                 iteration,
-                iter_var: iter_slot,
+                lanes: Lanes::values(&[], iter_slot),
                 cond_mask,
             };
             self.runtime.on_loop_check(loop_id, &mut ctx);
@@ -802,7 +802,7 @@ impl<'a> WarpExec<'a> {
             warp: geom.warp_id,
             cycles,
         });
-        let target_slot = h.target.map(|v| &mut self.regs[v as usize]);
+        let target_slot = h.target.map(|v| self.regs[v as usize].as_mut_slice());
         let mut ctx = HookCtx {
             block_id: geom.block_lin(),
             warp_id: geom.warp_id,
@@ -810,8 +810,7 @@ impl<'a> WarpExec<'a> {
             warp_width,
             first_thread,
             cycles,
-            args: &argvals,
-            target: target_slot,
+            lanes: Lanes::values(&argvals, target_slot),
         };
         self.runtime.on_hook(h, &mut ctx);
         // Register-file faults: the runtime may corrupt any live variable at

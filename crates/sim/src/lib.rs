@@ -64,7 +64,7 @@ pub use bytecode::{compile_cached, disassemble, CompiledKernel};
 pub use config::{CostModel, DeviceConfig, ExecEngine};
 pub use device::{Device, Launch};
 pub use fault::{ArmedFault, FaultSite, MemoryBurst};
-pub use hooks::{HookCtx, HookRuntime, LoopCheckCtx, NullRuntime, RegCorruption};
+pub use hooks::{HookCtx, HookRuntime, Lanes, LoopCheckCtx, NullRuntime, RegCorruption};
 pub use outcome::{LaunchOutcome, TrapReason};
 pub use snapshot::{CaptureRun, Snapshot, SnapshotError, Spliced};
 pub use stats::{ExecStats, OpClass};

@@ -19,9 +19,9 @@
 //! * injected faults go through `Value::xor_bits`, which flips bits but
 //!   keeps the variant (`Bool` corruption is masked to bit 0, mirroring
 //!   `xor_bits`' `& 1`);
-//! * hook runtimes mutate their target only via `xor_bits` (all bundled
-//!   runtimes do; a hypothetical runtime that *replaced* a value with one of
-//!   a different type would diverge from the tree walker and is unsupported).
+//! * hook runtimes can mutate a target or loop iterator only through
+//!   `HookCtx::xor_target` / `LoopCheckCtx::xor_iter`, which apply that same
+//!   raw XOR to the register word in place.
 //!
 //! So the lowering annotates every op with its operands' static types
 //! ([`Op::Bin::ta`], [`Op::Load::elem`], ...), and the hot lane loops run
@@ -30,11 +30,13 @@
 //! invariant (exactly `Value::to_bits` of a `Bool`), and pointer registers
 //! hold only the address (space and element type are static).
 //!
-//! Rare paths — hook dispatch, the loop-check fault window, and uncommon
-//! op/type combinations — materialize typed [`Value`] views on demand and
-//! delegate to the *same* helper functions the tree walker uses
-//! (`bin_value`, `math_value`, ... — crate-private in `interp`), so their
-//! semantics cannot drift.
+//! Hook dispatch and the loop-check fault window hand the runtime a
+//! [`Lanes`] over the raw register rows plus their static types: the
+//! runtime's typed accessors rebuild one lane's [`Value`] at a time and
+//! corrupt words in place, so nothing is materialized or written back.
+//! Uncommon op/type combinations delegate to the *same* helper functions
+//! the tree walker uses (`bin_value`, `math_value`, ... — crate-private in
+//! `interp`), so their semantics cannot drift.
 //!
 //! ## Control flow
 //!
@@ -66,7 +68,7 @@
 
 use crate::bytecode::CompiledKernel;
 use crate::config::DeviceConfig;
-use crate::hooks::{HookCtx, HookRuntime, LoopCheckCtx};
+use crate::hooks::{value_of, xor_word, HookCtx, HookRuntime, Lanes, LoopCheckCtx};
 use crate::interp::{
     bin_class, bin_value, builtin_lanes, cast_value, charge_cycles, charge_mem_op, charge_op,
     lanes, math_value, un_value, warp_initial_mask, ExecErr, Pipe, Tag, WarpGeom,
@@ -80,23 +82,8 @@ use crate::vm_batch::{
 };
 use hauberk_kir::batch::TagSrc;
 use hauberk_kir::lower::{Op, Reg, NO_REG};
-use hauberk_kir::{BinOp, MathFn, MemSpace, PrimTy, PtrVal, Ty, UnOp, Value};
+use hauberk_kir::{BinOp, MathFn, MemSpace, PrimTy, Ty, UnOp, Value};
 use hauberk_telemetry::{Event, Telemetry};
-
-/// Reconstruct a typed [`Value`] from a raw register word. Exact inverse of
-/// `Value::to_bits` given the static type (`Bool` masks to bit 0 like
-/// `Value::from_bits`; pointers carry their static space/element type).
-#[inline(always)]
-fn value_of(ty: Ty, raw: u32) -> Value {
-    match ty {
-        Ty::Prim(p) => Value::from_bits(p, raw),
-        Ty::Ptr { space, elem } => Value::Ptr(PtrVal {
-            space,
-            addr: raw,
-            elem,
-        }),
-    }
-}
 
 /// Raw-word equivalent of `as_index` for a statically-typed integer index.
 #[inline(always)]
@@ -497,11 +484,6 @@ pub struct VmExec<'a> {
     loop_depth: u32,
     /// Per-lane effective-address scratch (avoids a per-access alloc).
     addrs: Vec<u32>,
-    /// Scratch for materialized hook-argument views (one `Vec<Value>` per
-    /// argument, reused across dispatches).
-    marg: Vec<Vec<Value>>,
-    /// Scratch for the materialized hook-target / loop-iterator view.
-    mtgt: Vec<Value>,
     /// The region plan compiled alongside the bytecode.
     batch: &'a BatchKernel,
     /// Whether full-mask regions run (off = per-op dispatch only).
@@ -575,8 +557,6 @@ impl<'a> VmExec<'a> {
             pipe: Pipe::new(),
             loop_depth: 0,
             addrs: vec![0; width],
-            marg: Vec::new(),
-            mtgt: Vec::new(),
             batch,
             regions,
             wb_scratch: Vec::new(),
@@ -649,28 +629,6 @@ impl<'a> VmExec<'a> {
         }
     }
 
-    /// Materialize a full-width typed view of register `r` into `self.mtgt`.
-    fn materialize(&mut self, r: Reg, ty: Ty) {
-        let w = self.width;
-        let base = r as usize * w;
-        self.mtgt.clear();
-        self.mtgt.extend(
-            self.regs[base..base + w]
-                .iter()
-                .map(|&raw| value_of(ty, raw)),
-        );
-    }
-
-    /// Write the (possibly runtime-mutated) view in `self.mtgt` back to
-    /// register `r` as raw words.
-    fn writeback(&mut self, r: Reg) {
-        let w = self.width;
-        let base = r as usize * w;
-        for (l, v) in self.mtgt.iter().take(w).enumerate() {
-            self.regs[base + l] = v.to_bits();
-        }
-    }
-
     /// The scheduler-fault window at a loop-condition check (mirrors
     /// `WarpExec::loop_check_hook`).
     fn loop_check(
@@ -695,22 +653,12 @@ impl<'a> VmExec<'a> {
         });
         let has_iter = iter != NO_REG;
         // A runtime that does not observe this loop neither reads nor
-        // mutates the iterator or the decision mask, so materializing a
-        // typed view is pure waste. The producer-tag invalidation below
-        // still happens (the tree walker does it unconditionally), keeping
-        // pairing identical.
-        if !self.runtime.observes_loop(loop_id) {
-            if has_iter {
-                self.producer[iter as usize] = 0;
-            }
-            return;
-        }
-        if has_iter {
-            let ty = self.compiled.lowered.vars[iter as usize].ty;
-            self.materialize(iter, ty);
-        }
-        {
-            let iter_slot = has_iter.then_some(&mut self.mtgt);
+        // mutates the iterator or the decision mask, so it is not called.
+        // The producer-tag invalidation below still happens (the tree walker
+        // does it unconditionally), keeping pairing identical.
+        if self.runtime.observes_loop(loop_id) {
+            let lk = &self.compiled.lowered;
+            let row = has_iter.then(|| (iter as usize, lk.vars[iter as usize].ty));
             let mut ctx = LoopCheckCtx {
                 block_id: geom.block_lin(),
                 warp_id: geom.warp_id,
@@ -719,16 +667,14 @@ impl<'a> VmExec<'a> {
                 first_thread,
                 cycles,
                 iteration,
-                iter_var: iter_slot,
+                lanes: Lanes::raw(&mut self.regs, self.width, 0, &[], row),
                 cond_mask,
             };
             self.runtime.on_loop_check(loop_id, &mut ctx);
         }
+        // The runtime may have corrupted the iterator in place; invalidate
+        // its producer tag so pairing decisions stay conservative.
         if has_iter {
-            // The runtime may have corrupted the iterator (via `xor_bits`,
-            // which preserves its type); write the view back and invalidate
-            // its producer tag so pairing decisions stay conservative.
-            self.writeback(iter);
             self.producer[iter as usize] = 0;
         }
     }
@@ -755,11 +701,10 @@ impl<'a> VmExec<'a> {
             cycles,
         });
         // A runtime that does not observe this hook ignores it entirely —
-        // skip materializing argument/target views. Charges, stats,
-        // telemetry (above) and the target producer invalidation (the
-        // runtime "may have" corrupted it as far as pairing is concerned)
-        // still happen, and `register_corruption` is `None` by the filter's
-        // contract.
+        // skip the callbacks. Charges, stats, telemetry (above) and the
+        // target producer invalidation (the runtime "may have" corrupted it
+        // as far as pairing is concerned) still happen, and
+        // `register_corruption` is `None` by the filter's contract.
         if !self.runtime.observes_hook(h) {
             if let Some(v) = h.target {
                 self.producer[v as usize] = 0;
@@ -769,32 +714,14 @@ impl<'a> VmExec<'a> {
         let lk = &compiled.lowered;
         let n_vars = lk.n_vars() as usize;
         let w = self.width;
-        // Materialize typed argument views. Active lanes reconstruct the
-        // static type; inactive lanes are `Value::I32(0)` exactly like the
-        // tree walker's `zero_inactive`.
-        let arg_tys = &lk.hook_arg_tys[hook as usize];
-        while self.marg.len() < n as usize {
-            self.marg.push(vec![Value::I32(0); w]);
-        }
-        for (j, &ty) in arg_tys.iter().enumerate() {
-            let rb = (base as usize + j) * w;
-            let slot = &mut self.marg[j];
-            for (l, s) in slot.iter_mut().enumerate().take(w) {
-                *s = if mask & (1 << l) != 0 {
-                    value_of(ty, self.regs[rb + l])
-                } else {
-                    Value::I32(0)
-                };
-            }
-        }
-        // Materialize the target variable (full width, stale lanes included,
-        // like the tree walker which hands over the raw register).
-        if let Some(v) = h.target {
-            let ty = lk.vars[v as usize].ty;
-            self.materialize(v, ty);
-        }
+        // The runtime reads the argument registers (inactive lanes read as
+        // `Value::I32(0)`, like the tree walker's `zero_inactive`) and the
+        // full-width target register (stale lanes included, like the tree
+        // walker's raw register) in place, and corrupts the target in place.
         {
-            let target_slot = h.target.map(|_| &mut self.mtgt);
+            let arg_tys = &lk.hook_arg_tys[hook as usize];
+            debug_assert_eq!(arg_tys.len(), n as usize);
+            let row = h.target.map(|v| (v as usize, lk.vars[v as usize].ty));
             let mut ctx = HookCtx {
                 block_id: geom.block_lin(),
                 warp_id: geom.warp_id,
@@ -802,13 +729,9 @@ impl<'a> VmExec<'a> {
                 warp_width,
                 first_thread,
                 cycles,
-                args: &self.marg[..n as usize],
-                target: target_slot,
+                lanes: Lanes::raw(&mut self.regs, w, base as usize, arg_tys, row),
             };
             self.runtime.on_hook(h, &mut ctx);
-        }
-        if let Some(v) = h.target {
-            self.writeback(v);
         }
         // Register-file faults: the runtime may corrupt any live variable at
         // this point (the value sits in a register between uses). Mirrors
@@ -816,11 +739,7 @@ impl<'a> VmExec<'a> {
         if let Some(rc) = self.runtime.register_corruption(h, first_thread, mask) {
             if rc.lane < warp_width && mask & (1 << rc.lane) != 0 && (rc.var as usize) < n_vars {
                 let i = rc.var as usize * w + rc.lane as usize;
-                let mut nv = self.regs[i] ^ rc.mask;
-                if lk.vars[rc.var as usize].ty == Ty::BOOL {
-                    nv &= 1;
-                }
-                self.regs[i] = nv;
+                self.regs[i] = xor_word(lk.vars[rc.var as usize].ty, self.regs[i], rc.mask);
                 self.producer[rc.var as usize] = 0;
             }
         }
@@ -904,7 +823,11 @@ impl<'a> VmExec<'a> {
         let mut pc: usize = 0;
         let mut mask = entry_mask;
         let mut frames: Vec<Frame> = Vec::with_capacity(8);
-        let region_at = self.regions.then(|| self.batch.region_map(width));
+        let region_at = if self.regions {
+            self.batch.region_map(width)
+        } else {
+            None
+        };
         loop {
             // At full mask, a region starting here executes as one block (precomputed charges, lane-blocked data plane, tag
             // write-back) — unless its charge might not fit the remaining

@@ -485,8 +485,9 @@ pub struct BatchKernel {
     /// `region_at[pc]`: region starting at `pc`, or [`NO_REGION`].
     region_at: Vec<u32>,
     /// [`BatchKernel::region_at`] without the single-charge regions, for
-    /// warps narrower than one lane chunk (see [`BatchKernel::region_map`]).
-    narrow_region_at: Vec<u32>,
+    /// warps narrower than one lane chunk, or `None` when no region is left
+    /// (see [`BatchKernel::region_map`]).
+    narrow_region_at: Option<Vec<u32>>,
 }
 
 impl BatchKernel {
@@ -495,16 +496,18 @@ impl BatchKernel {
         self.regions.len()
     }
 
-    /// The region map for warps `width` lanes wide. A warp narrower than
-    /// one lane chunk has no lane loop to amortize a region's entry cost
-    /// (charge-table lookup, tag write-back) over, so there a region must
-    /// replace at least two charging ops to beat per-op dispatch; the
-    /// single-lane CPU programs run faster without the shorter ones.
-    pub(crate) fn region_map(&self, width: usize) -> &[u32] {
+    /// The region map for warps `width` lanes wide, or `None` when no
+    /// region runs at that width. A warp narrower than one lane chunk has
+    /// no lane loop to amortize a region's entry cost (charge-table lookup,
+    /// tag write-back) over, so there a region must replace at least two
+    /// charging ops to beat per-op dispatch; and a kernel left with no such
+    /// region skips the per-instruction region check altogether, which
+    /// otherwise costs the single-lane CPU programs 2–5%.
+    pub(crate) fn region_map(&self, width: usize) -> Option<&[u32]> {
         if width < CHUNK {
-            &self.narrow_region_at
+            self.narrow_region_at.as_deref()
         } else {
-            &self.region_at
+            Some(&self.region_at)
         }
     }
 }
@@ -541,7 +544,7 @@ pub(crate) fn build_batch(lowered: &LoweredKernel, cost: &CostModel) -> BatchKer
             }
         })
         .collect::<Vec<RegionExec>>();
-    let narrow_region_at = plan
+    let narrow_region_at: Vec<u32> = plan
         .region_at
         .iter()
         .map(|&ri| match regions.get(ri as usize) {
@@ -549,6 +552,10 @@ pub(crate) fn build_batch(lowered: &LoweredKernel, cost: &CostModel) -> BatchKer
             _ => ri,
         })
         .collect();
+    let narrow_region_at = narrow_region_at
+        .iter()
+        .any(|&ri| ri != NO_REGION)
+        .then_some(narrow_region_at);
     BatchKernel {
         regions,
         region_at: plan.region_at,
@@ -915,8 +922,8 @@ mod tests {
         )
         .unwrap();
         let bk = compile_batch(&k, &CostModel::default()).batch;
-        let (wide, narrow) = (bk.region_map(32), bk.region_map(1));
-        assert_eq!(bk.region_map(CHUNK), wide);
+        let (wide, narrow) = (bk.region_map(32).unwrap(), bk.region_map(1).unwrap());
+        assert_eq!(bk.region_map(CHUNK), Some(wide));
         let charges = |ri: u32| bk.regions[ri as usize].n_charges;
         let planned: Vec<u32> = wide.iter().copied().filter(|&r| r != NO_REGION).collect();
         assert!(
@@ -931,6 +938,23 @@ mod tests {
             let keep = w != NO_REGION && charges(w) >= 2;
             assert_eq!(n, if keep { w } else { NO_REGION });
         }
+    }
+
+    #[test]
+    fn narrow_warps_without_multi_charge_regions_skip_the_region_check() {
+        let k = hauberk_kir::parser::parse_kernel(
+            "kernel k(out: *global i32, n: i32) {
+                let j: i32 = n;
+                while (j > 0) { j = j - 1; }
+                store(out, 0, j);
+            }",
+        )
+        .unwrap();
+        let bk = compile_batch(&k, &CostModel::default()).batch;
+        let wide = bk.region_map(32).unwrap();
+        assert!(wide.iter().any(|&r| r != NO_REGION), "no region planned");
+        assert!(bk.regions.iter().all(|r| r.n_charges < 2));
+        assert_eq!(bk.region_map(1), None);
     }
 
     #[test]

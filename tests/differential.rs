@@ -32,8 +32,10 @@
 
 use hauberk::builds::{build, BuildVariant, FtOptions};
 use hauberk::control::ControlBlock;
-use hauberk::runtime::{FiFtRuntime, FiRuntime, FtRuntime, ProfilerRuntime};
+use hauberk::program::run_program_with_engine;
+use hauberk::runtime::{FiFtRuntime, FiRuntime, FtRuntime, ProfilerRuntime, SITE_SAMPLE_CAP};
 use hauberk::translator::FiMap;
+use hauberk_benchmarks::{all_programs, ProblemScale};
 use hauberk_kir::builder::KernelBuilder;
 use hauberk_kir::printer::print_kernel;
 use hauberk_kir::stmt::{LoopId, Stmt};
@@ -45,6 +47,7 @@ use hauberk_sim::{
     disassemble, ArmedFault, Device, DeviceConfig, ExecEngine, FaultSite, HookCtx, HookRuntime,
     Launch, LaunchOutcome, LoopCheckCtx, RegCorruption,
 };
+use hauberk_telemetry::Telemetry;
 use proptest::prelude::*;
 
 /// 64 per-thread result slots × 4 registers, plus an 8-element tail that the
@@ -464,8 +467,10 @@ impl HookRuntime for ObserveAll {
     fn on_hook(&mut self, _hook: &Hook, _ctx: &mut HookCtx) {}
 }
 
-fn bits_of(vals: &[Value]) -> Vec<u32> {
-    vals.iter().map(|v| v.to_bits()).collect()
+/// Bits of a per-lane view on every lane `0..width`, or `None` if any lane
+/// has no value (a hook without a target, a loop without an iterator).
+fn lane_bits(width: u32, lane: impl Fn(u32) -> Option<Value>) -> Option<Vec<u32>> {
+    (0..width).map(|l| lane(l).map(|v| v.to_bits())).collect()
 }
 
 impl<R: HookRuntime> HookRuntime for Recorder<R> {
@@ -474,9 +479,13 @@ impl<R: HookRuntime> HookRuntime for Recorder<R> {
             self.inner.on_hook(hook, ctx);
             return;
         }
-        let args: Vec<Vec<u32>> = ctx.args.iter().map(|a| bits_of(a)).collect();
+        // Every lane of every argument (inactive lanes read as 0 bits), and
+        // every lane of the target after the runtime ran (stale lanes too).
+        let args: Vec<Vec<u32>> = (0..ctx.n_args())
+            .filter_map(|i| lane_bits(ctx.warp_width, |l| Some(ctx.arg(i, l))))
+            .collect();
         self.inner.on_hook(hook, ctx);
-        let target = ctx.target.as_ref().map(|t| bits_of(t));
+        let target = lane_bits(ctx.warp_width, |l| ctx.target(l));
         self.log.push(format!(
             "hook site={} kind={:?} blk={} warp={} act={:08x} cyc={} args={:?} target={:?}",
             hook.site, hook.kind, ctx.block_id, ctx.warp_id, ctx.active, ctx.cycles, args, target,
@@ -488,7 +497,7 @@ impl<R: HookRuntime> HookRuntime for Recorder<R> {
         if !self.inner.observes_loop(loop_id) {
             return;
         }
-        let iter = ctx.iter_var.as_ref().map(|t| bits_of(t));
+        let iter = lane_bits(ctx.warp_width, |l| ctx.iter(l));
         self.log.push(format!(
             "loop_check loop={} blk={} warp={} act={:08x} iter#{} cyc={} iter_var={:?} cond={:08x}",
             loop_id,
@@ -689,6 +698,32 @@ fn train_ranges(kernel: &KernelDef, trip: u8) -> Vec<hauberk::RangeSet> {
         .collect()
 }
 
+/// Everything a profiling launch recorded, read through the profiler's
+/// accessors: the `(site, thread, count)` execution records, every
+/// detector's samples and every FI site's value samples (samples as bits,
+/// so a NaN compares equal to itself).
+#[derive(Debug, PartialEq)]
+struct ProfileRecords {
+    execs: Vec<(u32, u32, u64)>,
+    detector_samples: Vec<Vec<u64>>,
+    site_samples: Vec<Vec<u64>>,
+}
+
+fn profile_records(pr: &ProfilerRuntime, n_detectors: usize, fi: &FiMap) -> ProfileRecords {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    ProfileRecords {
+        execs: pr.sorted_execs(),
+        detector_samples: (0..n_detectors as u32)
+            .map(|d| bits(pr.samples(d)))
+            .collect(),
+        site_samples: fi
+            .sites
+            .iter()
+            .map(|s| bits(pr.site_samples(s.site)))
+            .collect(),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -743,6 +778,30 @@ proptest! {
                 format!("{:?}", rt_tw.cb.alarms),
                 format!("{:?}", rt.cb.alarms)
             );
+        }
+    }
+
+    /// The profiler build records the same execution counts, detector
+    /// samples and site samples on every engine, and dispatches the same
+    /// hook contexts.
+    #[test]
+    fn engines_agree_on_profiles(g in gen_kernel()) {
+        let k = materialize(&g);
+        let profiler = build(&k, BuildVariant::Profiler(FtOptions::default())).unwrap();
+        let n_det = profiler.detectors.len();
+        let runs = ExecEngine::ALL.map(|e| {
+            let (run, pr) = run_engine(&profiler.kernel, g.trip, e, ProfilerRuntime::default());
+            let records = profile_records(&pr, n_det, &profiler.fi);
+            (run, records)
+        });
+        prop_assert!(runs[0].0.outcome.is_completed(), "{:?}", runs[0].0.outcome);
+        check_agreement(&profiler.kernel, "profiler build", &[
+            (ExecEngine::TreeWalk, &runs[0].0),
+            (ExecEngine::Bytecode, &runs[1].0),
+            (ExecEngine::Batch, &runs[2].0),
+        ]);
+        for (e, (_, records)) in ExecEngine::ALL.iter().zip(&runs).skip(1) {
+            prop_assert_eq!(&runs[0].1, records, "{} profile differs", e);
         }
     }
 
@@ -860,4 +919,46 @@ fn divergence_heavy_three_way() {
             (ExecEngine::Batch, &ba),
         ],
     );
+}
+
+/// Every suite program's profiling launch records the same execution
+/// counts, detector samples and site samples on every engine, including
+/// sites whose samples stop at `SITE_SAMPLE_CAP`.
+#[test]
+fn suite_profiles_agree_on_every_engine() {
+    let mut capped = 0;
+    for prog in all_programs(ProblemScale::Quick) {
+        let profiler = build(
+            &prog.build_kernel(),
+            BuildVariant::Profiler(FtOptions::default()),
+        )
+        .unwrap();
+        let n_det = profiler.detectors.len();
+        let records = ExecEngine::ALL.map(|e| {
+            let mut pr = ProfilerRuntime::default();
+            let tele = Telemetry::disabled();
+            let run = run_program_with_engine(
+                prog.as_ref(),
+                &profiler.kernel,
+                0,
+                &mut pr,
+                u64::MAX,
+                &tele,
+                Some(e),
+            );
+            assert!(run.outcome.is_completed(), "{}: {e}", prog.name());
+            profile_records(&pr, n_det, &profiler.fi)
+        });
+        assert!(
+            !records[0].execs.is_empty(),
+            "{}: no executions",
+            prog.name()
+        );
+        for (e, r) in ExecEngine::ALL.iter().zip(&records).skip(1) {
+            assert_eq!(&records[0], r, "{}: {e} profile differs", prog.name());
+        }
+        let at_cap = |s: &Vec<u64>| s.len() == SITE_SAMPLE_CAP;
+        capped += records[0].site_samples.iter().filter(|s| at_cap(s)).count();
+    }
+    assert!(capped > 0, "no suite site reaches SITE_SAMPLE_CAP");
 }
