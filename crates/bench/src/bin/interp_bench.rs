@@ -33,7 +33,7 @@ use hauberk::builds::{build, BuildVariant, FtOptions};
 use hauberk::program::HostProgram;
 use hauberk::runtime::{FiRuntime, ProfilerRuntime};
 use hauberk_bench::cli::process_args;
-use hauberk_bench::report::quartiles;
+use hauberk_bench::report::{quartiles, spread_json};
 use hauberk_benchmarks::{all_programs, ProblemScale};
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
@@ -80,11 +80,7 @@ struct Spread {
 impl Spread {
     /// `{"median":…,"q1":…,"q3":…}`, each divided by `unit`.
     fn json(self, unit: f64) -> Json {
-        Json::obj([
-            ("median", Json::Num(self.median / unit)),
-            ("q1", Json::Num(self.q1 / unit)),
-            ("q3", Json::Num(self.q3 / unit)),
-        ])
+        spread_json([self.q1, self.median, self.q3].map(|v| v / unit))
     }
 }
 

@@ -23,7 +23,7 @@
 //! ```
 
 use hauberk_bench::cli::process_args;
-use hauberk_bench::report::quartiles;
+use hauberk_bench::report::{quartiles, spread_json};
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
 use hauberk_kir::{PrimTy, Value};
@@ -81,15 +81,6 @@ fn describe(pct: [f64; 3]) -> String {
         ""
     };
     format!("{median:+.2}% [{q1:+.2}, {q3:+.2}]{noise}")
-}
-
-/// `{"median":…,"q1":…,"q3":…}`.
-fn spread_json([q1, median, q3]: [f64; 3]) -> Json {
-    Json::obj([
-        ("median", Json::Num(median)),
-        ("q1", Json::Num(q1)),
-        ("q3", Json::Num(q3)),
-    ])
 }
 
 fn main() {

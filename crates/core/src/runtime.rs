@@ -17,12 +17,15 @@ pub const SITE_SAMPLE_CAP: usize = 8192;
 /// FT build later range-checks, per-site execution counts (to enumerate and
 /// weight fault-injection targets), and per-site value samples (Fig. 10).
 ///
-/// The records are dense: a site keeps one execution counter per thread
-/// from its lowest to its highest executing thread, indexed by global
-/// thread id, so a dispatch adds to its lanes' counters with no hashing.
-/// Sites and detectors are kept in id order and found by binary search
-/// once per warp dispatch (their ids come from the translator, or from
-/// submitted KIR text, so they are not used as indices).
+/// The records are dense but bounded by the work executed: a site keeps its
+/// per-thread execution counters in pages of [`PAGE`] consecutive global
+/// thread ids, allocated only for threads that execute it, so a dispatch
+/// adds to its lanes' counters with no hashing and memory is at most
+/// [`PAGE`] counters per executed (site, thread) pair. Sites, detectors and
+/// a site's pages are kept in id order and found by binary search, a page
+/// first by the site's last lookup (their ids come from the translator, or
+/// from submitted KIR text, and a site's executing threads may be far
+/// apart, so none is used as an index).
 #[derive(Debug, Default)]
 pub struct ProfilerRuntime {
     /// `(detector, samples of the averaged accumulator value)`, by detector.
@@ -31,35 +34,52 @@ pub struct ProfilerRuntime {
     sites: Vec<(SiteId, SiteRecord)>,
 }
 
+/// Threads per counter page: the widest warp (a lane mask is a `u32`), so
+/// one warp dispatch touches at most two pages.
+const PAGE: usize = 32;
+
 /// What the profiler recorded at one `CountExec` site.
 #[derive(Debug, Default)]
 struct SiteRecord {
-    /// Global thread id of `counts[0]`.
-    first: u32,
-    /// Dynamic execution count per thread from `first` on (0 = a thread in
-    /// the span that never executed the site).
-    counts: Vec<u64>,
+    /// Page numbers, ascending: page `pages[i]` holds the counters of
+    /// global threads `pages[i] * PAGE..` in `counts[i]`.
+    pages: Vec<u32>,
+    /// Dynamic execution count per thread of each page (0 = a thread that
+    /// never executed the site).
+    counts: Vec<[u64; PAGE]>,
+    /// Index of the page the last lookup found: a warp's next dispatch at
+    /// the site, or the next warp's, is usually on it or the one after.
+    hint: usize,
     /// Values of the defined variable, capped at [`SITE_SAMPLE_CAP`].
     samples: Vec<f64>,
 }
 
 impl SiteRecord {
-    /// The counters of threads `lo..=hi`, grown to cover them.
-    fn span(&mut self, lo: u32, hi: u32) -> &mut [u64] {
-        if self.counts.is_empty() {
-            self.first = lo;
-        } else if lo < self.first {
-            // A thread below the span (a later launch restarts the thread
-            // ids): prepend zeros.
-            let grow = (self.first - lo) as usize;
-            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
-            self.first = lo;
-        }
-        let end = (hi - self.first) as usize + 1;
-        if self.counts.len() < end {
-            self.counts.resize(end, 0);
-        }
-        &mut self.counts[(lo - self.first) as usize..end]
+    /// The counters of the page holding `thread`, added zeroed if absent.
+    fn page(&mut self, thread: u32) -> &mut [u64; PAGE] {
+        let page = thread / PAGE as u32;
+        let h = self.hint;
+        let i = if self.pages.get(h) == Some(&page) {
+            h
+        } else if self.pages.last() < Some(&page) {
+            // Above every page (as throughout a site's first launch).
+            self.pages.push(page);
+            self.counts.push([0; PAGE]);
+            self.pages.len() - 1
+        } else if self.pages.get(h + 1) == Some(&page) {
+            h + 1
+        } else {
+            match self.pages.binary_search(&page) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.pages.insert(i, page);
+                    self.counts.insert(i, [0; PAGE]);
+                    i
+                }
+            }
+        };
+        self.hint = i;
+        &mut self.counts[i]
     }
 }
 
@@ -94,7 +114,7 @@ impl ProfilerRuntime {
 
     /// Total dynamic executions of `site` across threads.
     pub fn total_execs(&self, site: SiteId) -> u64 {
-        find(&self.sites, site).map_or(0, |r| r.counts.iter().sum())
+        find(&self.sites, site).map_or(0, |r| r.counts.iter().flatten().sum())
     }
 
     /// Every `(site, thread, count)` execution record with a nonzero count,
@@ -105,12 +125,15 @@ impl ProfilerRuntime {
     pub fn sorted_execs(&self) -> Vec<(SiteId, u32, u64)> {
         let mut execs = Vec::new();
         for (site, r) in &self.sites {
-            execs.extend(
-                (r.first..)
-                    .zip(&r.counts)
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(t, &c)| (*site, t, c)),
-            );
+            for (page, counts) in r.pages.iter().zip(&r.counts) {
+                execs.extend(
+                    counts
+                        .iter()
+                        .zip(page * PAGE as u32..)
+                        .filter(|(&c, _)| c > 0)
+                        .map(|(&c, t)| (*site, t, c)),
+                );
+            }
         }
         execs
     }
@@ -119,7 +142,7 @@ impl ProfilerRuntime {
 impl HookRuntime for ProfilerRuntime {
     fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx<'_>) {
         let active = ctx.active;
-        // No lane to record (and no lowest or highest lane to span).
+        // No lane to record (and no lowest lane to start from).
         if active == 0 {
             return;
         }
@@ -132,13 +155,23 @@ impl HookRuntime for ProfilerRuntime {
             }
             HookKind::CountExec => {
                 let r = entry(&mut self.sites, hook.site);
-                let (lo, hi) = (active.trailing_zeros(), 31 - active.leading_zeros());
-                let counts = r.span(ctx.thread_of(lo), ctx.thread_of(hi));
+                let lo = active.trailing_zeros();
+                // One page at a time: the active lanes from the lowest left
+                // up to the end of its thread's page (a warp spans two
+                // pages at most).
                 let mut m = active;
                 while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    counts[(lane - lo) as usize] += 1;
+                    let first = m.trailing_zeros();
+                    let t = ctx.thread_of(first);
+                    let off = t as usize % PAGE;
+                    let on_page = m & (((1u64 << (PAGE - off)) - 1) << first) as u32;
+                    m &= !on_page;
+                    let counts = r.page(t);
+                    let mut p = on_page;
+                    while p != 0 {
+                        counts[off + (p.trailing_zeros() - first) as usize] += 1;
+                        p &= p - 1;
+                    }
                 }
                 // The first active lanes' target values, up to the cap.
                 let room = SITE_SAMPLE_CAP - r.samples.len();
@@ -720,7 +753,7 @@ mod tests {
         assert_eq!(pr.site_samples(9), &[42.0]);
     }
 
-    /// The dense records against a map model: sites first seen out of
+    /// The paged records against a map model: sites first seen out of
     /// order, warps with gaps in their masks, and a later launch whose
     /// threads lie below every recorded one all come out as the sorted
     /// `(site, thread, count)` records of the executed pairs; a site's
@@ -789,6 +822,55 @@ mod tests {
             -((SITE_SAMPLE_CAP / 2 - 1) as f64)
         );
         assert_eq!(pr.total_execs(1), SITE_SAMPLE_CAP as u64 + 2);
+    }
+
+    /// A site executed only by threads far apart (a submitted kernel's
+    /// `if (tid == 0 || tid == 65535)`) keeps two pages, not a counter per
+    /// thread between them; the records are the two executed pairs, also
+    /// when a later launch runs the low thread again, and a warp that
+    /// straddles a page boundary counts on both pages.
+    #[test]
+    fn sparse_site_keeps_only_executed_pages() {
+        let mut pr = ProfilerRuntime::default();
+        let count_hook = Hook {
+            kind: HookKind::CountExec,
+            site: 7,
+            args: vec![],
+            target: None,
+        };
+        for first_thread in [0, 65535, 0] {
+            let mut target = vec![Value::I32(1)];
+            let mut ctx = HookCtx {
+                block_id: 0,
+                warp_id: 0,
+                active: 1,
+                warp_width: 1,
+                first_thread,
+                cycles: 0,
+                lanes: Lanes::values(&[], Some(&mut target)),
+            };
+            pr.on_hook(&count_hook, &mut ctx);
+        }
+        assert_eq!(pr.sorted_execs(), vec![(7, 0, 2), (7, 65535, 1)]);
+        assert_eq!(pr.total_execs(7), 3);
+        assert_eq!(pr.sites[0].1.pages.len(), 2);
+
+        let mut target = vec![Value::I32(1); 32];
+        let mut ctx = HookCtx {
+            block_id: 0,
+            warp_id: 1,
+            active: 1 | 1 << 31,
+            warp_width: 32,
+            first_thread: 48,
+            cycles: 0,
+            lanes: Lanes::values(&[], Some(&mut target)),
+        };
+        pr.on_hook(&count_hook, &mut ctx);
+        assert_eq!(
+            pr.sorted_execs(),
+            vec![(7, 0, 2), (7, 48, 1), (7, 79, 1), (7, 65535, 1)]
+        );
+        assert_eq!(pr.sites[0].1.pages.len(), 4);
     }
 
     /// The state the interest-filter contract pins, per runtime: the arm's
