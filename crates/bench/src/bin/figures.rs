@@ -1,7 +1,7 @@
 //! `figures` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|all]
+//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|instr|all]
 //!         [--paper]     use larger problem sizes / experiment counts
 //!         [--json]      one JSON document instead of text sections
 //!         [--threads N] pin the campaign worker-thread count (0 = one per core)
@@ -20,7 +20,7 @@ use std::env;
 /// Every figure name `figures` accepts.
 const FIGURES: &[&str] = &[
     "fig1", "fig2", "fig3", "fig4", "fig9", "fig10", "fig13", "fig14", "fig15", "fig16", "alpha",
-    "guardian", "ablation", "all",
+    "guardian", "ablation", "instr", "all",
 ];
 
 struct Cfg {
@@ -115,6 +115,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
     if want("ablation") {
         em.section("ablation", &ablation::render("MRI-Q"));
+    }
+    if want("instr") {
+        em.table(&instr::render(&instr::run(&hpc_suite(cfg.scale))));
+        em.text("paper: ~0.7 s per kernel for the transformation proper\n");
     }
     em.finish();
     Ok(())

@@ -1,8 +1,8 @@
 //! `interp_bench` — measure every engine setting (the tree walker, and the
 //! VM with regions off, `bytecode`, and on, `batch`) on the simulator's
-//! standard hot-path kernel (the same FP loop `telemetry_overhead` and
-//! `sim_throughput` use) and on a fault-free launch of every suite program
-//! at quick scale, and record the pairwise speedups per launch.
+//! standard hot-path kernel (an FP loop, `spin`) and on a fault-free launch
+//! of every suite program at quick scale, and record the pairwise speedups
+//! per launch.
 //!
 //! Also verifies, on every run, that all engines produce identical
 //! `ExecStats` and identical output memory — a cheap standing differential
@@ -19,11 +19,22 @@
 //! plain kernel). Its execution records (`sorted_execs`) must be identical
 //! on every engine.
 //!
+//! The telemetry layer is priced on the spin kernel (batch engine): the
+//! launch with telemetry disabled, with a [`NullSink`] (span events only),
+//! with a `NullSink` plus hot per-hook events, and with an unbounded
+//! [`MemorySink`], each as an overhead over the disabled launch; and the
+//! tracing-span layer alone against an enabled sink that discards every
+//! event, `spans_on` against the `with_spans(false)` early-out
+//! (`span_overhead_pct`). Every mode must leave the stats and output of
+//! the disabled launch unchanged.
+//!
 //! Every time is the median and `[q1, q3]` of the per-round mean over
 //! [`ROUNDS`] interleaved rounds. A suite program's six contenders (three
 //! engines, the FI build under each runtime, the profiler build) share
 //! every round, so host drift shows as spread rather than moving one
-//! contender alone.
+//! contender alone; the same holds for the telemetry modes. An overhead is
+//! the per-round ratio to the baseline in the same round, reported as
+//! within noise when its `[q1, q3]` spans 0.
 //!
 //! ```text
 //! interp_bench [--iters N] [--out PATH]
@@ -33,14 +44,16 @@ use hauberk::builds::{build, BuildVariant, FtOptions};
 use hauberk::program::HostProgram;
 use hauberk::runtime::{FiRuntime, ProfilerRuntime};
 use hauberk_bench::cli::process_args;
-use hauberk_bench::report::{quartiles, spread_json};
+use hauberk_bench::report::quartiles;
 use hauberk_benchmarks::{all_programs, ProblemScale};
 use hauberk_kir::kernel::KernelDef;
 use hauberk_kir::parser::parse_kernel;
 use hauberk_kir::{PrimTy, Value};
 use hauberk_sim::{Device, DeviceConfig, ExecEngine, ExecStats, HookRuntime, Launch, NullRuntime};
 use hauberk_telemetry::json::Json;
+use hauberk_telemetry::{Event, MemorySink, NullSink, Telemetry, TelemetrySink};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ENGINES: [ExecEngine; 3] = ExecEngine::ALL;
@@ -48,10 +61,11 @@ const ENGINES: [ExecEngine; 3] = ExecEngine::ALL;
 /// Interleaved rounds per measurement.
 const ROUNDS: u32 = 9;
 
-fn one_launch(kernel: &KernelDef, engine: ExecEngine) -> (ExecStats, Vec<f32>) {
+/// One launch of the spin kernel on `engine` under `tele`: stats and output.
+fn one_launch(kernel: &KernelDef, engine: ExecEngine, tele: &Telemetry) -> (ExecStats, Vec<f32>) {
     let mut config = DeviceConfig::small_gpu();
     config.engine = engine;
-    let mut dev = Device::new(config);
+    let mut dev = Device::new(config).with_telemetry(tele.clone());
     let out = dev.alloc(PrimTy::F32, 512);
     let x = dev.alloc(PrimTy::F32, 256);
     let r = black_box(dev.launch(
@@ -78,21 +92,37 @@ struct Spread {
 }
 
 impl Spread {
+    /// Median and quartiles of per-round values.
+    fn of(rounds: &[f64]) -> Self {
+        let [q1, median, q3] = quartiles(&mut rounds.to_vec());
+        Spread { q1, median, q3 }
+    }
+
     /// `{"median":…,"q1":…,"q3":…}`, each divided by `unit`.
     fn json(self, unit: f64) -> Json {
-        spread_json([self.q1, self.median, self.q3].map(|v| v / unit))
+        Json::obj([
+            ("median", Json::Num(self.median / unit)),
+            ("q1", Json::Num(self.q1 / unit)),
+            ("q3", Json::Num(self.q3 / unit)),
+        ])
+    }
+
+    /// Whether an overhead's `[q1, q3]` spans 0.
+    fn within_noise(self) -> bool {
+        self.q1 <= 0.0 && 0.0 <= self.q3
     }
 }
 
-/// The spread of each of `N` contenders (an engine, or a hook runtime)
-/// over [`ROUNDS`] rounds. Within a round the contenders take turns call by
-/// call (so they share any machine drift) for at least `per_round` turns,
-/// and until one contender has spent `min_round`.
+/// The per-round mean, in ns per call, of each of `N` contenders (an
+/// engine, a hook runtime or a telemetry mode) over [`ROUNDS`] rounds.
+/// Within a round the contenders take turns call by call (so they share
+/// any machine drift) for at least `per_round` turns, and until one
+/// contender has spent `min_round`.
 fn interleaved_rounds<const N: usize>(
     per_round: u32,
     min_round: Duration,
     mut timed: impl FnMut(usize) -> Duration,
-) -> [Spread; N] {
+) -> [Vec<f64>; N] {
     let mut means: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
     for _ in 0..ROUNDS {
         let mut total = [Duration::ZERO; N];
@@ -107,10 +137,7 @@ fn interleaved_rounds<const N: usize>(
             m.push(t.as_nanos() as f64 / calls as f64);
         }
     }
-    means.map(|mut m| {
-        let [q1, median, q3] = quartiles(&mut m);
-        Spread { q1, median, q3 }
-    })
+    means
 }
 
 /// One fault-free launch of `kernel` (a build of `prog`) on `engine` under
@@ -208,7 +235,8 @@ fn suite_matrix() -> (Json, f64) {
             assert_eq!(ref_execs, profile_on(e), "{name}: {e} profile diverges");
         }
 
-        let spread: [Spread; 6] = interleaved_rounds(1, PROGRAM_ROUND, |i| run(i).0);
+        let spread =
+            interleaved_rounds::<6>(1, PROGRAM_ROUND, |i| run(i).0).map(|r| Spread::of(&r));
         let speedup = spread[1].median / spread[2].median;
         worst = worst.min(speedup);
         let fi_over_null = spread[4].median / spread[3].median;
@@ -240,6 +268,104 @@ fn suite_matrix() -> (Json, f64) {
     (Json::Obj(rows.into_iter().collect()), worst)
 }
 
+/// A sink that reports itself enabled but discards every event: the span
+/// path runs for real (guard bookkeeping, attribute strings, emit call)
+/// without measuring any sink's own storage cost.
+#[derive(Debug)]
+struct EnabledNullSink;
+
+impl TelemetrySink for EnabledNullSink {
+    fn emit(&self, event: &Event) {
+        black_box(event);
+    }
+}
+
+/// `+1.23% [+0.50, +2.10]`, with "within noise" when the interval spans 0.
+fn describe(pct: Spread) -> String {
+    let noise = if pct.within_noise() {
+        " (within noise)"
+    } else {
+        ""
+    };
+    format!(
+        "{:+.2}% [{:+.2}, {:+.2}]{noise}",
+        pct.median, pct.q1, pct.q3
+    )
+}
+
+/// Price the telemetry layer on the spin kernel (batch engine): every
+/// mode's ns/launch and its overhead over `disabled`, plus the span layer
+/// alone (`spans_on` over `spans_off`). Each mode must reproduce the
+/// disabled launch's stats and output.
+fn telemetry_section(kernel: &KernelDef, per_round: u32) -> Json {
+    let modes = [
+        ("disabled", Telemetry::disabled()),
+        ("null_sink", Telemetry::new(Arc::new(NullSink))),
+        (
+            "null_sink_hot",
+            Telemetry::new(Arc::new(NullSink)).with_hot_events(true),
+        ),
+        (
+            "spans_off",
+            Telemetry::new(Arc::new(EnabledNullSink)).with_spans(false),
+        ),
+        ("spans_on", Telemetry::new(Arc::new(EnabledNullSink))),
+        (
+            "memory_sink",
+            Telemetry::new(Arc::new(MemorySink::unbounded())),
+        ),
+    ];
+    let (ref_stats, ref_out) = one_launch(kernel, ExecEngine::Batch, &modes[0].1);
+    for (name, tele) in &modes[1..] {
+        let (stats, out) = one_launch(kernel, ExecEngine::Batch, tele);
+        assert_eq!(ref_stats, stats, "telemetry mode {name} changes the stats");
+        assert_eq!(ref_out, out, "telemetry mode {name} changes the output");
+    }
+
+    let rounds = interleaved_rounds::<6>(per_round, Duration::ZERO, |i| {
+        let t = Instant::now();
+        black_box(one_launch(kernel, ExecEngine::Batch, &modes[i].1));
+        t.elapsed()
+    });
+    // Per-round overhead of mode `i` over mode `base`, in percent.
+    let overhead = |i: usize, base: usize| {
+        let pairs = rounds[i].iter().zip(&rounds[base]);
+        Spread::of(
+            &pairs
+                .map(|(ns, b)| (ns / b - 1.0) * 100.0)
+                .collect::<Vec<_>>(),
+        )
+    };
+    let mut entries = Vec::new();
+    for (i, (name, _)) in modes.iter().enumerate() {
+        let ns = Spread::of(&rounds[i]);
+        let pct = overhead(i, 0);
+        eprintln!(
+            "{name:>14}: {:>12.0} ns/launch [{:.0}, {:.0}]  overhead {}",
+            ns.median,
+            ns.q1,
+            ns.q3,
+            describe(pct)
+        );
+        entries.push((
+            name.to_string(),
+            Json::obj([
+                ("ns_per_launch", ns.json(1.0)),
+                ("overhead_pct", pct.json(1.0)),
+                ("within_noise", Json::Bool(pct.within_noise())),
+            ]),
+        ));
+    }
+    let span = overhead(4, 3);
+    eprintln!("span overhead (spans_on vs spans_off): {}", describe(span));
+    Json::obj([
+        ("engine", Json::str(ExecEngine::Batch.name())),
+        ("modes", Json::Obj(entries.into_iter().collect())),
+        ("span_overhead_pct", span.json(1.0)),
+        ("span_within_noise", Json::Bool(span.within_noise())),
+    ])
+}
+
 fn main() {
     let args = process_args(&[("--iters", true), ("--out", true)]);
     let iters: u32 = args.get_or("--iters", 200);
@@ -259,9 +385,10 @@ fn main() {
 
     // Standing equivalence check: same stats, same memory, every run, across
     // every engine setting.
-    let (ref_stats, ref_out) = one_launch(&kernel, ENGINES[0]);
+    let disabled = Telemetry::disabled();
+    let (ref_stats, ref_out) = one_launch(&kernel, ENGINES[0], &disabled);
     for &e in &ENGINES[1..] {
-        let (stats, out) = one_launch(&kernel, e);
+        let (stats, out) = one_launch(&kernel, e, &disabled);
         assert_eq!(
             ref_stats,
             stats,
@@ -271,11 +398,12 @@ fn main() {
         assert_eq!(ref_out, out, "{} output diverges from reference", e.name());
     }
 
-    let spread: [Spread; 3] = interleaved_rounds(iters / ROUNDS, Duration::ZERO, |i| {
+    let spread = interleaved_rounds::<3>(iters / ROUNDS, Duration::ZERO, |i| {
         let t = Instant::now();
-        black_box(one_launch(&kernel, ENGINES[i]));
+        black_box(one_launch(&kernel, ENGINES[i], &disabled));
         t.elapsed()
-    });
+    })
+    .map(|r| Spread::of(&r));
     for (e, s) in ENGINES.iter().zip(&spread) {
         eprintln!(
             "{:>10}: {:>12.0} ns/launch [{:.0}, {:.0}]",
@@ -319,6 +447,7 @@ fn main() {
             })
             .collect(),
     );
+    let telemetry = telemetry_section(&kernel, iters / ROUNDS);
     let (programs, worst) = suite_matrix();
     eprintln!("slowest batch/bytecode over the suite: {worst:.2}x");
     let doc = Json::obj([
@@ -338,6 +467,7 @@ fn main() {
         ("speedup", Json::Num(median[0] / median[1])),
         ("speedups", Json::Obj(pair_rows.into_iter().collect())),
         ("stats_identical", Json::Bool(true)),
+        ("telemetry", telemetry),
     ]);
     let rendered = format!("{doc}\n");
     match out_path {

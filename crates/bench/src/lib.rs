@@ -17,19 +17,13 @@
 //!   Wilson-interval early stopping (README "Campaign operations"), and the
 //!   `harden` subcommand for selective detector placement. Its campaign
 //!   flags build a serve job spec through [`cli`].
-//! * `campaign_bench` — adaptive-vs-uniform sampling cost and the
-//!   checkpoint ledger, writes `BENCH_campaign.json`.
-//! * `hardening_bench` — the coverage-vs-overhead Pareto benchmark, writes
-//!   `BENCH_hardening.json`.
-//! * `interp_bench` — per-engine interpreter speed, writes
-//!   `BENCH_interp.json`.
-//! * `serve_bench` — daemon and fleet load benchmark, writes
-//!   `BENCH_serve.json`.
-//! * `telemetry_overhead` — telemetry hot-path cost, writes
-//!   `BENCH_telemetry.json`.
+//! * `interp_bench` — the one micro harness: per-engine interpreter speed,
+//!   FI-runtime and profiler costs per suite program, and the telemetry
+//!   layer's cost, writes `BENCH_interp.json`.
 //!
-//! Criterion benches live under `benches/`; `tests/golden/` pins the CLI
-//! JSON output shapes (refresh with `UPDATE_GOLDEN=1`).
+//! End-to-end wall time is measured by `perfbench/` (see `BENCHMARK.json`);
+//! `tests/golden/` pins the CLI JSON output shapes (refresh with
+//! `UPDATE_GOLDEN=1`).
 
 pub mod ablation;
 pub mod alpha_cov;
@@ -42,5 +36,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig9;
 pub mod guardian_cases;
+pub mod instr;
 pub mod perf;
 pub mod report;

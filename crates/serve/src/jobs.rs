@@ -124,7 +124,7 @@ pub struct JobSpec {
     pub trace: Option<String>,
     /// Emit tracing spans into the job's event log (default `true`).
     /// `"spans": false` drops the span layer for latency-critical
-    /// submissions; `serve_bench` uses it to price the layer.
+    /// submissions; the fleet's shard jobs run with it off.
     pub spans: bool,
     /// Run the campaign from a shared fault-free checkpoint (default
     /// `false`): one reference run captures per-block snapshots and every

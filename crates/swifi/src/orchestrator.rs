@@ -904,6 +904,58 @@ mod tests {
         assert_eq!(total, r.executed);
     }
 
+    /// The adaptive-sampling claim on a plan large enough that every
+    /// stratum holds several times the samples its interval needs: Wilson
+    /// early stopping at CI width 0.2 executes at most half the uniform
+    /// sweep's injections, and every stratum it stopped early meets the
+    /// target width.
+    #[test]
+    fn adaptive_halves_the_uniform_sweep_at_target_width() {
+        let prog = Cp::new(ProblemScale::Quick);
+        let cfg = CampaignConfig {
+            plan: crate::plan::PlanConfig {
+                vars_per_program: 20,
+                masks_per_var: 80,
+                bit_counts: crate::mask::PAPER_BIT_COUNTS.to_vec(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let adaptive = AdaptiveConfig {
+            ci_width: 0.2,
+            z: 1.96,
+            min_samples: 24,
+        };
+        // Fine-grained units, so stopping tracks the interval.
+        let run = |adaptive: Option<AdaptiveConfig>| {
+            let orch = OrchestratorConfig {
+                shard_size: 8,
+                adaptive,
+                ..Default::default()
+            };
+            run_orchestrated_campaign(&prog, CampaignKind::Sensitivity, &cfg, &orch).unwrap()
+        };
+        let uniform = run(None);
+        let adapt = run(Some(adaptive.clone()));
+        assert_eq!(uniform.executed, uniform.planned, "uniform is exhaustive");
+        assert!(
+            2 * adapt.executed <= uniform.executed,
+            "adaptive sampling must at least halve the injections ({} vs {})",
+            adapt.executed,
+            uniform.executed
+        );
+        for (u, a) in uniform.strata.iter().zip(&adapt.strata) {
+            assert_eq!(u.stratum, a.stratum);
+            let width = crate::sampler::ci_width(&a.counts, adaptive.z);
+            assert!(
+                !a.stopped_early || width <= adaptive.ci_width + 1e-9,
+                "{}: stopped early at width {width} > target {}",
+                a.stratum.key(),
+                adaptive.ci_width
+            );
+        }
+    }
+
     #[test]
     fn chaos_unit_retries_then_succeeds() {
         let prog = Cp::new(ProblemScale::Quick);

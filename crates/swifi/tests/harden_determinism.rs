@@ -5,17 +5,20 @@
 //! when fed back through the translator.
 //!
 //! The engine is chosen per run through `HardenConfig.campaign.engine`. The
-//! thread count is a process-global knob, so everything runs inside one
-//! `#[test]` — parallel test threads flipping it would race each other, not
-//! the code under test.
+//! thread count is a process-global knob, so every run that varies it sits
+//! inside one `#[test]` — parallel test threads flipping it would race each
+//! other, not the code under test. The Pareto-front claims below run under
+//! whatever count is current, which is safe because their results are
+//! thread-count invariant.
 
 use hauberk::builds::{build_selected, BuildVariant};
 use hauberk::program::HostProgram;
-use hauberk_benchmarks::{cp::Cp, ProblemScale};
+use hauberk_benchmarks::{cp::Cp, pns::Pns, ProblemScale};
 use hauberk_kir::printer::print_kernel;
 use hauberk_sim::ExecEngine;
 use hauberk_swifi::campaign::CampaignConfig;
 use hauberk_swifi::harden::{harden, HardenConfig};
+use hauberk_swifi::mask::PAPER_BIT_COUNTS;
 use hauberk_swifi::plan::PlanConfig;
 
 fn quick_cfg() -> HardenConfig {
@@ -114,4 +117,66 @@ fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
         any_trip,
         "trip-counter presence disagrees with the selection:\n{printed}"
     );
+}
+
+/// The two standing claims of closed-loop selective hardening on CP and PNS
+/// (12 × 12 at the paper's bit counts, budget 0.5): walking the budget
+/// ladder upward, measured coverage and detector overhead never decrease;
+/// and the budget-0.5 placement keeps at least 80% of the full-protection
+/// coverage at at most 50% of its detector overhead.
+#[test]
+fn pareto_front_is_monotone_and_half_budget_is_cheap() {
+    let programs: [Box<dyn HostProgram>; 2] = [
+        Box::new(Cp::new(ProblemScale::Quick)),
+        Box::new(Pns::new(ProblemScale::Quick)),
+    ];
+    for prog in programs {
+        let name = prog.name();
+        let cfg = HardenConfig {
+            budget: 0.5,
+            campaign: CampaignConfig {
+                plan: PlanConfig {
+                    vars_per_program: 12,
+                    masks_per_var: 12,
+                    bit_counts: PAPER_BIT_COUNTS.to_vec(),
+                    ..PlanConfig::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let report = harden(prog.as_ref(), &cfg).expect("harden");
+        for w in report.front.windows(2) {
+            assert!(
+                w[1].coverage >= w[0].coverage - 1e-12,
+                "{name}: coverage dropped along the front: {} @ budget {} vs {} @ budget {}",
+                w[1].coverage,
+                w[1].budget,
+                w[0].coverage,
+                w[0].budget
+            );
+            assert!(
+                w[1].overhead_cycles >= w[0].overhead_cycles,
+                "{name}: overhead dropped along the front at budget {}",
+                w[1].budget
+            );
+        }
+        let half = report
+            .front
+            .iter()
+            .find(|p| p.budget == 0.5)
+            .expect("budget 0.5 is on the default ladder");
+        assert!(
+            half.overhead_cycles * 2 <= report.full_overhead_cycles,
+            "{name}: budget-0.5 overhead {} exceeds half of full {}",
+            half.overhead_cycles,
+            report.full_overhead_cycles
+        );
+        assert!(
+            half.coverage >= 0.8 * report.full_coverage,
+            "{name}: selective coverage {} < 80% of full {}",
+            half.coverage,
+            report.full_coverage
+        );
+    }
 }

@@ -17,8 +17,12 @@
 //! immediately before and after section boundaries, and the composed
 //! per-section outcome map must re-total to the campaign.
 //!
-//! Thread counts are only varied inside the property test: the sibling
-//! tests in this binary run under whatever count is current, which is safe
+//! On the paper's CP and PNS the same equivalence holds, and checkpointing
+//! must at least halve the simulated cycles.
+//!
+//! Thread counts are varied only by the property test and by
+//! `composition_and_fallback_are_byte_identical`: the other tests in this
+//! binary run under whatever count is current, which is safe
 //! precisely because the contract under test says results are thread-count
 //! invariant.
 
@@ -354,5 +358,52 @@ fn composition_and_fallback_are_byte_identical() {
             assert!(composed > 0, "no run composed for {g:?}");
             assert_eq!(fell_back, 0, "nothing is read later for {g:?}");
         }
+    }
+}
+
+/// The checkpoint claim on two paper benchmarks (CP and PNS, quick scale):
+/// a checkpointed sensitivity campaign is byte-identical to full
+/// re-execution and simulates at most half its cycles. The wall-clock
+/// speedup is perfbench's `swifi.ckpt_wall_speedup`.
+#[test]
+fn paper_benchmarks_checkpoint_halves_simulated_cycles() {
+    let cfg = CampaignConfig {
+        plan: PlanConfig {
+            vars_per_program: 12,
+            masks_per_var: 20,
+            bit_counts: hauberk_swifi::mask::PAPER_BIT_COUNTS.to_vec(),
+            ..PlanConfig::default()
+        },
+        ..Default::default()
+    };
+    for name in ["CP", "PNS"] {
+        let prog =
+            hauberk_benchmarks::program_by_name(name, hauberk_benchmarks::ProblemScale::Quick)
+                .expect("paper benchmark");
+        let run = |checkpoint: bool| {
+            let orch = OrchestratorConfig {
+                checkpoint,
+                ..Default::default()
+            };
+            run_orchestrated_campaign(prog.as_ref(), CampaignKind::Sensitivity, &cfg, &orch)
+                .expect("campaign")
+        };
+        let (full, ck) = (run(false), run(true));
+        assert!(
+            ck.checkpoint.is_some(),
+            "{name}: checkpoint store must build"
+        );
+        assert_eq!(
+            full.summary_json().to_string(),
+            ck.summary_json().to_string(),
+            "{name}: checkpointed summary must be byte-identical"
+        );
+        assert_eq!(full.summarize(), ck.summarize());
+        assert!(
+            full.sim_cycles >= 2 * ck.sim_cycles,
+            "{name}: checkpointing must at least halve the simulated cycles ({} vs {})",
+            ck.sim_cycles,
+            full.sim_cycles
+        );
     }
 }
