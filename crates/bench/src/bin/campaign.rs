@@ -39,9 +39,11 @@
 //! * `--max-retries N` retries a panicking work unit N times before
 //!   quarantining it (default 2).
 //! * `--profile` prints the per-phase wall-time breakdown (plan / execute /
-//!   journal / classify / sample-decision) and any straggler work units
-//!   after the summary. The profile is also appended to the journal as a
-//!   trailing `"rec":"profile"` record when `--journal`/`--resume` is set.
+//!   journal / classify / sample-decision), the hang tally (hang
+//!   injections, how many a hang certificate ended early, and their share
+//!   of execute time) and any straggler work units after the summary. The
+//!   profile is also appended to the journal as a trailing
+//!   `"rec":"profile"` record when `--journal`/`--resume` is set.
 //! * `--checkpoint` shares one fault-free prefix across the campaign: a
 //!   single reference run captures a device snapshot at every block boundary
 //!   a planned fault targets, and each injection restores the snapshot
@@ -322,6 +324,8 @@ fn campaign_main(args: &[String]) -> Result<(), CliError> {
     if args.has("--profile") {
         em.table(&sharded.profile.table());
         em.json_section("profile", sharded.profile.to_json());
+        em.table(&sharded.hangs.table(sharded.profile.execute_ns));
+        em.json_section("hangs", sharded.hangs.to_json());
         for s in &sharded.profile.stragglers {
             em.text(format!(
                 "straggler: {} took {:.2} ms (threshold {:.2} ms)",

@@ -59,7 +59,7 @@ pub fn run(scale: ProblemScale) -> Vec<VarDistribution> {
     let prog = MriQ::new(scale);
     let base = prog.build_kernel();
     let b = build(&base, BuildVariant::Profiler(FtOptions::default())).expect("profiler build");
-    let mut pr = ProfilerRuntime::default();
+    let mut pr = ProfilerRuntime::with_site_samples();
     let run = run_program(&prog, &b.kernel, 0, &mut pr, u64::MAX);
     assert!(run.outcome.is_completed());
 

@@ -15,13 +15,15 @@ pub const SITE_SAMPLE_CAP: usize = 8192;
 
 /// The profiler library: records the averaged-accumulator samples the
 /// FT build later range-checks, per-site execution counts (to enumerate and
-/// weight fault-injection targets), and per-site value samples (Fig. 10).
+/// weight fault-injection targets), and — when built with
+/// [`ProfilerRuntime::with_site_samples`], as Fig. 10 is — per-site value
+/// samples.
 ///
 /// The records are dense but bounded by the work executed: a site keeps its
-/// per-thread execution counters in pages of [`PAGE`] consecutive global
-/// thread ids, allocated only for threads that execute it, so a dispatch
-/// adds to its lanes' counters with no hashing and memory is at most
-/// [`PAGE`] counters per executed (site, thread) pair. Sites, detectors and
+/// per-thread execution counters in pages of 32 consecutive global thread
+/// ids, allocated only for threads that execute it, so a dispatch adds to
+/// its lanes' counters with no hashing and memory is at most 32 counters
+/// per executed (site, thread) pair. Sites, detectors and
 /// a site's pages are kept in id order and found by binary search, a page
 /// first by the site's last lookup (their ids come from the translator, or
 /// from submitted KIR text, and a site's executing threads may be far
@@ -32,6 +34,9 @@ pub struct ProfilerRuntime {
     detectors: Vec<(u32, Vec<f64>)>,
     /// `(site, record)`, by site.
     sites: Vec<(SiteId, SiteRecord)>,
+    /// Per-site value samples to keep: [`SITE_SAMPLE_CAP`] with
+    /// [`ProfilerRuntime::with_site_samples`], else none.
+    sample_cap: usize,
 }
 
 /// Threads per counter page: the widest warp (a lane mask is a `u32`), so
@@ -101,13 +106,25 @@ fn find<T>(v: &[(u32, T)], id: u32) -> Option<&T> {
 }
 
 impl ProfilerRuntime {
+    /// A profiler that also keeps up to [`SITE_SAMPLE_CAP`] value samples
+    /// per site ([`ProfilerRuntime::site_samples`], Fig. 10). The default
+    /// profiler keeps none: campaigns read only the execution counts and
+    /// detector samples.
+    pub fn with_site_samples() -> Self {
+        ProfilerRuntime {
+            sample_cap: SITE_SAMPLE_CAP,
+            ..Default::default()
+        }
+    }
+
     /// Samples for detector `det` (empty slice if none).
     pub fn samples(&self, det: u32) -> &[f64] {
         find(&self.detectors, det).map_or(&[], |s| s.as_slice())
     }
 
     /// Value samples of `site`'s defined variable, in execution order and
-    /// capped at [`SITE_SAMPLE_CAP`] (empty slice if none).
+    /// capped at [`SITE_SAMPLE_CAP`] (empty slice if none, and always empty
+    /// unless built [`ProfilerRuntime::with_site_samples`]).
     pub fn site_samples(&self, site: SiteId) -> &[f64] {
         find(&self.sites, site).map_or(&[], |r| r.samples.as_slice())
     }
@@ -174,7 +191,7 @@ impl HookRuntime for ProfilerRuntime {
                     }
                 }
                 // The first active lanes' target values, up to the cap.
-                let room = SITE_SAMPLE_CAP - r.samples.len();
+                let room = self.sample_cap - r.samples.len();
                 if room > 0 && ctx.target(lo).is_some() {
                     let mut m = active;
                     for _ in 0..room.min(active.count_ones() as usize) {
@@ -261,6 +278,13 @@ fn is_ft_kind(kind: &HookKind) -> bool {
 /// Whether `arm` can act at `hook`: an FI point at the armed hook site.
 fn arm_observes(arm: &FaultArm, hook: &Hook) -> bool {
     matches!(hook.kind, HookKind::FiPoint { .. }) && arm.arms_hook(hook.site)
+}
+
+/// Whether `arm` can no longer act at `hooks` or the checks of `loops`:
+/// it has delivered its one fault, or none of them is its armed site.
+fn arm_inert_within(arm: &FaultArm, hooks: &[Hook], loops: &[LoopId]) -> bool {
+    arm.delivered()
+        || (!hooks.iter().any(|h| arm_observes(arm, h)) && !loops.iter().any(|&l| arm.arms_loop(l)))
 }
 
 /// Record an alarm; stamp the first-alarm cycle and emit one
@@ -464,6 +488,12 @@ impl HookRuntime for FiRuntime {
         self.arm.arms_loop(loop_id)
     }
 
+    /// The arm delivers once, so once delivered it is inert everywhere;
+    /// before that it is inert at what its interest filter leaves out.
+    fn inert_within(&self, hooks: &[Hook], loops: &[LoopId]) -> bool {
+        arm_inert_within(&self.arm, hooks, loops)
+    }
+
     fn register_corruption(
         &mut self,
         hook: &Hook,
@@ -586,6 +616,12 @@ impl HookRuntime for FiFtRuntime {
 
     fn observes_loop(&self, loop_id: LoopId) -> bool {
         self.arm.arms_loop(loop_id)
+    }
+
+    /// Never across an FT check, which may raise an alarm; otherwise as for
+    /// [`FiRuntime`].
+    fn inert_within(&self, hooks: &[Hook], loops: &[LoopId]) -> bool {
+        !hooks.iter().any(|h| is_ft_kind(&h.kind)) && arm_inert_within(&self.arm, hooks, loops)
     }
 
     fn register_corruption(
@@ -718,7 +754,7 @@ mod tests {
 
     #[test]
     fn profiler_records_samples_and_counts() {
-        let mut pr = ProfilerRuntime::default();
+        let mut pr = ProfilerRuntime::with_site_samples();
         let hook = Hook {
             kind: HookKind::Profile { detector: 2 },
             site: 5,
@@ -751,6 +787,12 @@ mod tests {
         assert_eq!(pr.total_execs(9), 1);
         assert_eq!(pr.sorted_execs(), vec![(9, 3, 1)]);
         assert_eq!(pr.site_samples(9), &[42.0]);
+
+        // The default profiler counts the same but keeps no site samples.
+        let mut plain = ProfilerRuntime::default();
+        plain.on_hook(&count_hook, &mut ctx);
+        assert_eq!(plain.sorted_execs(), vec![(9, 3, 1)]);
+        assert_eq!(plain.site_samples(9), &[] as &[f64]);
     }
 
     /// The paged records against a map model: sites first seen out of
@@ -760,7 +802,7 @@ mod tests {
     /// samples stop at the cap.
     #[test]
     fn profiler_records_match_a_map_model() {
-        let mut pr = ProfilerRuntime::default();
+        let mut pr = ProfilerRuntime::with_site_samples();
         let mut model = std::collections::BTreeMap::new();
         let count_hook = |site| Hook {
             kind: HookKind::CountExec,
@@ -801,7 +843,7 @@ mod tests {
         assert_eq!(pr.site_samples(2), &[2.0; 4]);
         assert_eq!(pr.site_samples(3), &[] as &[f64]);
 
-        let mut pr = ProfilerRuntime::default();
+        let mut pr = ProfilerRuntime::with_site_samples();
         for i in 0..SITE_SAMPLE_CAP / 2 + 1 {
             let mut target = vec![Value::F32(i as f32), Value::F32(-(i as f32))];
             let mut ctx = HookCtx {
@@ -1092,5 +1134,88 @@ mod tests {
             let n = check_unobserved_are_inert(&format!("fi&ft {fault:?}"), fift);
             assert_eq!(n, 8 + armed, "fi&ft {fault:?}");
         }
+    }
+
+    /// A counted, memory-free loop with an FI point in its body (and, with
+    /// `ft`, an FT range check), launched in one warp under a small budget.
+    fn hang_launch(bound: &str, ft: bool, rt: &mut dyn HookRuntime) -> hauberk_sim::LaunchOutcome {
+        use hauberk_sim::{Device, Launch};
+        let check = if ft {
+            "@check_range(site=1, det=0, x);"
+        } else {
+            ""
+        };
+        let k = hauberk_kir::parser::parse_kernel(&format!(
+            "kernel k(out: *global i32) {{
+                let x: i32 = 0;
+                for (s = 0; s {bound}; s = s + 1) {{
+                    x = x * 3 + 1;
+                    @fi_point(site=0, hw=ALU, target=x);
+                    {check}
+                }}
+                store(out, 0, x);
+            }}"
+        ))
+        .unwrap();
+        let mut dev = Device::small_gpu();
+        let out = dev.alloc(hauberk_kir::PrimTy::I32, 1);
+        let launch = Launch::grid1d(1, 32).with_budget(50_000);
+        dev.launch(&k, &[Value::Ptr(out)], &launch, rt)
+    }
+
+    fn certified(out: &hauberk_sim::LaunchOutcome) -> Option<bool> {
+        match out {
+            hauberk_sim::LaunchOutcome::Hang { stats, certified } => {
+                assert_eq!(stats.work_cycles, 50_000, "a hang charges the whole budget");
+                Some(*certified)
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn hang_certificates_need_an_inert_runtime() {
+        let fault = |site, occurrence| {
+            Some(ArmedFault {
+                site,
+                thread: 0,
+                occurrence,
+                mask: 1 << 31,
+            })
+        };
+        let sign_flip = fault(FaultSite::LoopIterator { loop_id: 0 }, 3);
+        let cb = || ControlBlock::with_ranges(vec![profile_ranges(&[0.0, 1e9])]);
+        // The flipped iterator leaves ~2³¹ iterations; the delivered arm is
+        // inert, so the hang is certified.
+        let mut fi = FiRuntime::new(sign_flip);
+        assert_eq!(certified(&hang_launch("< 8", false, &mut fi)), Some(true));
+        assert!(fi.arm.delivered());
+        let mut fift = FiFtRuntime::new(sign_flip, cb());
+        assert_eq!(certified(&hang_launch("< 8", false, &mut fift)), Some(true));
+        // An FT check in the body may still raise an alarm: refused.
+        let mut fift = FiFtRuntime::new(sign_flip, cb());
+        assert_eq!(certified(&hang_launch("< 8", true, &mut fift)), Some(false));
+        // An arm in the body that has not delivered yet: refused until it
+        // delivers, then certified at the next power-of-two iteration.
+        let late = fault(FaultSite::HookTarget { site: 0 }, 1_000_000);
+        let mut fi = FiRuntime::new(late);
+        assert_eq!(
+            certified(&hang_launch("<= 2147483647", false, &mut fi)),
+            Some(false)
+        );
+        let early = fault(FaultSite::HookTarget { site: 0 }, 5);
+        let mut fi = FiRuntime::new(early);
+        assert_eq!(
+            certified(&hang_launch("<= 2147483647", false, &mut fi)),
+            Some(true)
+        );
+        assert!(fi.arm.delivered());
+        // An arm elsewhere leaves the loop inert from the start.
+        let elsewhere = fault(FaultSite::HookTarget { site: 7 }, 1);
+        let mut fi = FiRuntime::new(elsewhere);
+        assert_eq!(
+            certified(&hang_launch("<= 2147483647", false, &mut fi)),
+            Some(true)
+        );
     }
 }

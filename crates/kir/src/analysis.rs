@@ -14,10 +14,15 @@
 //! * [`derive_trip_count`] — §V.B step (iii)/(iv): derive a loop-invariant
 //!   expression for the expected iteration count of a counting loop, checked
 //!   at runtime with `HauberkCheckEqual`.
+//! * [`hang_certificates`] — per loop, the static facts (the same
+//!   counted-loop shape, a body that can neither trap nor leave) that let a
+//!   simulator declare a corrupted counted loop a hang without running out
+//!   the watchdog budget.
 
 use crate::expr::{BinOp, Expr, VarId};
 use crate::kernel::KernelDef;
-use crate::stmt::{Block, LoopId, SiteId, Stmt};
+use crate::stmt::{Block, Hook, LoopId, SiteId, Stmt};
+use crate::types::{PrimTy, Ty};
 use crate::visit::for_each_stmt;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -573,6 +578,163 @@ fn stmt_contains_break(s: &Stmt) -> bool {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hang certificates
+// ---------------------------------------------------------------------------
+
+/// The static half of a hang certificate for one counted loop: the facts
+/// that let a simulator end a launch as a hang the moment a live lane's
+/// remaining trip count outlasts the cycle budget, instead of running the
+/// budget out.
+///
+/// A loop has one when it has [`derive_trip_count`]'s shape — `i32`
+/// iterator, step `+ 1`, `<`/`<=` against a bound that reads neither the
+/// iterator nor anything the body writes, no `break` — and its body (and
+/// every expression of its header) can neither trap nor leave: no load,
+/// store or atomic, no integer division or remainder, no barrier, and only
+/// the value ops the VM runs infallibly. The iterator then advances by
+/// exactly one per iteration and the loop ends only when the bound says so.
+/// What the hook runtime may still do at [`HangCert::hooks`] and
+/// [`HangCert::loops`] is for the runtime to answer at launch time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HangCert {
+    /// The iterator (an `i32`).
+    pub iter: VarId,
+    /// Whether the condition is `iter <= bound` (else `iter < bound`).
+    pub inclusive: bool,
+    /// The loop-invariant bound.
+    pub bound: Expr,
+    /// Every hook in the body, nested blocks included.
+    pub hooks: Vec<Hook>,
+    /// The loop itself and every loop nested in its body.
+    pub loops: Vec<LoopId>,
+}
+
+/// Hang certificates of every loop of `kernel`, indexed by loop id (`None`
+/// for a loop without one).
+pub fn hang_certificates(kernel: &KernelDef) -> Vec<Option<HangCert>> {
+    let mut certs = Vec::new();
+    for_each_stmt(&kernel.body, &mut |s| {
+        if let Stmt::For { id, .. } | Stmt::While { id, .. } = s {
+            let i = *id as usize;
+            if certs.len() <= i {
+                certs.resize(i + 1, None);
+            }
+            certs[i] = hang_certificate(kernel, s);
+        }
+    });
+    certs
+}
+
+/// The [`HangCert`] of `loop_stmt` (a loop of `kernel`), or `None` when the
+/// loop cannot be certified.
+pub fn hang_certificate(kernel: &KernelDef, loop_stmt: &Stmt) -> Option<HangCert> {
+    derive_trip_count(loop_stmt)?;
+    let Stmt::For {
+        id,
+        var,
+        cond: Expr::Bin(op, _, bound),
+        body,
+        ..
+    } = loop_stmt
+    else {
+        return None;
+    };
+    let var_ty = |v: VarId| kernel.var_ty(v);
+    if var_ty(*var) != Ty::I32 || bound.uses_var(*var) || !infallible(bound, &var_ty) {
+        return None;
+    }
+    let mut cert = HangCert {
+        iter: *var,
+        inclusive: *op == BinOp::Le,
+        bound: (**bound).clone(),
+        hooks: Vec::new(),
+        loops: vec![*id],
+    };
+    body.0
+        .iter()
+        .all(|s| certifiable(s, &var_ty, &mut cert))
+        .then_some(cert)
+}
+
+/// Whether `s` can neither trap nor leave the enclosing loop other than
+/// through its condition; collects the hooks and loops it contains.
+fn certifiable(s: &Stmt, var_ty: &impl Fn(VarId) -> Ty, cert: &mut HangCert) -> bool {
+    let block = |b: &Block, cert: &mut HangCert| b.0.iter().all(|s| certifiable(s, var_ty, cert));
+    match s {
+        Stmt::Assign { value, .. } => infallible(value, var_ty),
+        Stmt::Store { .. } | Stmt::AtomicAdd { .. } | Stmt::SyncThreads => false,
+        Stmt::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => infallible(cond, var_ty) && block(then_blk, cert) && block(else_blk, cert),
+        Stmt::For { id, body, .. } | Stmt::While { id, body, .. } => {
+            cert.loops.push(*id);
+            s.direct_exprs().iter().all(|e| infallible(e, var_ty)) && block(body, cert)
+        }
+        // A `break` of the certified loop itself is refused by
+        // `derive_trip_count`; one inside a nested loop leaves only that.
+        Stmt::Break | Stmt::Continue => true,
+        Stmt::Hook(h) => {
+            cert.hooks.push(h.clone());
+            h.args.iter().all(|a| infallible(a, var_ty))
+        }
+    }
+}
+
+/// Whether evaluating `e` can never trap: exactly the value ops the VM's
+/// lane-blocked micro-ops cover (`hauberk-sim`'s `vm_batch::micro_of`) —
+/// no load, no integer division or remainder, no operator on a type its
+/// semantics reject.
+fn infallible(e: &Expr, var_ty: &impl Fn(VarId) -> Ty) -> bool {
+    use crate::expr::{MathFn::*, UnOp};
+    use PrimTy::{Bool, F32, I32, U32};
+    let prim = |e: &Expr| match e.static_ty(var_ty) {
+        Ty::Prim(p) => Some(p),
+        Ty::Ptr { .. } => None,
+    };
+    let here = match e {
+        Expr::Lit(_) | Expr::Var(_) | Expr::Builtin(_) => true,
+        Expr::Load { .. } => false,
+        Expr::Un(op, a) => matches!(
+            (op, prim(a)),
+            (UnOp::Neg, Some(F32 | I32))
+                | (UnOp::Not, Some(Bool))
+                | (UnOp::BitNot, Some(I32 | U32))
+                | (UnOp::BitsOf, _)
+        ),
+        Expr::Bin(op, a, b) => {
+            use BinOp::*;
+            match a.static_ty(var_ty) {
+                Ty::Prim(F32) => matches!(
+                    op,
+                    Add | Sub | Mul | Div | Rem | Lt | Le | Gt | Ge | Eq | Ne
+                ),
+                Ty::Prim(I32 | U32) => !matches!(op, Div | Rem | LAnd | LOr),
+                Ty::Prim(Bool) => matches!(op, LAnd | And | LOr | Or | Xor | Eq | Ne),
+                Ty::Ptr { .. } => match b.static_ty(var_ty) {
+                    Ty::Prim(p) => matches!(op, Add | Sub) && p.is_integer(),
+                    Ty::Ptr { .. } => matches!(op, Eq | Ne),
+                },
+            }
+        }
+        Expr::Call(f, args) => matches!(
+            (f, prim(&args[0])),
+            (Abs, Some(F32 | I32))
+                | (Sqrt | Rsqrt | Sin | Cos | Exp | Log | Floor, Some(F32))
+                | (Min | Max, Some(F32 | I32 | U32))
+        ),
+        Expr::Cast(_, a) => prim(a).is_some(),
+    };
+    here && match e {
+        Expr::Un(_, a) | Expr::Cast(_, a) => infallible(a, var_ty),
+        Expr::Bin(_, a, b) => infallible(a, var_ty) && infallible(b, var_ty),
+        Expr::Call(_, args) => args.iter().all(|a| infallible(a, var_ty)),
+        _ => true,
+    }
+}
+
 /// Render a loop dataflow graph in a compact text form (used to reproduce
 /// the paper's Fig. 9).
 pub fn render_dataflow(kernel: &KernelDef, df: &LoopDataflow) -> String {
@@ -849,7 +1011,6 @@ impl SectionMap {
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
-    use crate::types::{PrimTy, Ty};
 
     /// A miniature of the paper's Fig. 9 coulombic-potential loop:
     /// two output accumulators, one with a slightly larger backward slice.
@@ -1202,5 +1363,81 @@ mod tests {
         assert_eq!(sm.sections.len(), 1);
         assert_eq!(sm.sections[0].loops.len(), 2, "nested loop ids collected");
         assert_eq!(sm.section_of_site(5), Some(0), "nested hook mapped");
+    }
+
+    /// The hang certificate of the first loop of `body` inside a kernel with
+    /// parameters `out: *global i32, n: i32` and locals `i, j, x: i32`.
+    fn cert(body: &str) -> Option<HangCert> {
+        let src = format!(
+            "kernel k(out: *global i32, n: i32) {{
+                let x: i32 = 1;
+                let j: i32 = 0;
+                {body}
+            }}"
+        );
+        let k = crate::parser::parse_kernel(&src).expect("test kernel parses");
+        crate::validate::validate_kernel(&k).expect("test kernel validates");
+        hang_certificates(&k).into_iter().next().expect("a loop")
+    }
+
+    #[test]
+    fn memory_free_counted_loop_is_certified_with_its_hooks_and_loops() {
+        let c = cert(
+            "for (i = 0; i < n; i = i + 1) {
+                x = x * 1103515245 + 12345;
+                @fi_point(site=4, hw=ALU, target=x);
+                if ((x >> 16 & 3) == 0) { continue; }
+                for (j = 0; j < 3; j = j + 1) {
+                    if (j == x) { break; }
+                    x = x ^ cast<i32>(sqrt(cast<f32>(j)));
+                }
+            }",
+        )
+        .expect("certified");
+        assert!(!c.inclusive);
+        assert_eq!(c.bound, Expr::Var(1));
+        assert_eq!(c.hooks.iter().map(|h| h.site).collect::<Vec<_>>(), [4]);
+        assert_eq!(c.loops, [0, 1]);
+    }
+
+    #[test]
+    fn le_against_i32_max_is_certified() {
+        let c = cert("for (i = 0; i <= 2147483647; i = i + 1) { x = x + 1; }").expect("certified");
+        assert!(c.inclusive);
+        assert_eq!(c.bound, Expr::i32(i32::MAX));
+    }
+
+    #[test]
+    fn hang_certificate_refusals() {
+        for (why, body) in [
+            ("load", "x = x + load(out, i);"),
+            ("store", "store(out, i, x);"),
+            ("atomic", "atomic_add(out, 0, 1);"),
+            ("integer division", "x = x / 3;"),
+            ("integer remainder", "x = x % 3;"),
+            ("sync", "sync();"),
+            ("break", "if (x > 5) { break; }"),
+            ("bound written in the body", "n = n + 1;"),
+            ("iterator written in the body", "i = i + 2;"),
+            (
+                "load in a nested loop",
+                "for (j = 0; j < 2; j = j + 1) { x = load(out, j); }",
+            ),
+        ] {
+            let body = format!("for (i = 0; i < n; i = i + 1) {{ {body} }}");
+            assert_eq!(cert(&body), None, "{why}");
+        }
+        for (why, header) in [
+            ("step other than + 1", "for (i = 0; i < n; i = i + 2)"),
+            (
+                "bound reads the iterator",
+                "for (i = 0; i < i + n; i = i + 1)",
+            ),
+            ("bound loads", "for (i = 0; i < load(out, 0); i = i + 1)"),
+            ("greater-than condition", "for (i = n; i > 0; i = i + 1)"),
+        ] {
+            assert_eq!(cert(&format!("{header} {{ x = x + 1; }}")), None, "{why}");
+        }
+        assert_eq!(cert("while (x < n) { x = x + 1; }"), None, "while loop");
     }
 }

@@ -422,6 +422,37 @@ impl Expr {
         }
     }
 
+    /// Static type of the expression, given each variable's type, by the
+    /// typing rules of [`crate::validate::validate_kernel`]. Meaningful on
+    /// validated kernels only (an ill-typed load reads as `i32`).
+    pub fn static_ty(&self, var_ty: &impl Fn(VarId) -> Ty) -> Ty {
+        match self {
+            Expr::Lit(v) => v.ty(),
+            Expr::Var(v) => var_ty(*v),
+            Expr::Builtin(b) => b.ty(),
+            Expr::Un(UnOp::BitsOf, _) => Ty::U32,
+            Expr::Un(_, a) => a.static_ty(var_ty),
+            Expr::Bin(op, a, _) => {
+                if op.is_comparison() || op.is_logical() {
+                    Ty::BOOL
+                } else {
+                    // Arithmetic/bitwise preserve the left operand's type;
+                    // this covers pointer arithmetic (`ptr ± int` is `ptr`).
+                    a.static_ty(var_ty)
+                }
+            }
+            Expr::Call(f, args) => match f {
+                MathFn::Min | MathFn::Max | MathFn::Abs => args[0].static_ty(var_ty),
+                _ => Ty::F32,
+            },
+            Expr::Load { ptr, .. } => match ptr.static_ty(var_ty) {
+                Ty::Ptr { elem, .. } => Ty::Prim(elem),
+                _ => Ty::I32,
+            },
+            Expr::Cast(to, _) => Ty::Prim(*to),
+        }
+    }
+
     /// Number of operator nodes (unary + binary + calls + loads + casts):
     /// a proxy for the instruction count of the computation, used by the
     /// cost-model discussion and by tests.

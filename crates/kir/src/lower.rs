@@ -792,36 +792,11 @@ impl Lowerer {
         self.builtin_base + i as u32
     }
 
-    /// Static type of `e`, mirroring the typing rules of
-    /// [`crate::validate::validate_kernel`]. Infallible on validated kernels;
-    /// the result annotates the emitted op so the VM never inspects runtime
-    /// value tags.
+    /// Static type of `e` ([`Expr::static_ty`]). Infallible on validated
+    /// kernels; the result annotates the emitted op so the VM never inspects
+    /// runtime value tags.
     fn ty_of(&self, e: &Expr) -> Ty {
-        match e {
-            Expr::Lit(v) => v.ty(),
-            Expr::Var(v) => self.var_tys[*v as usize],
-            Expr::Builtin(b) => b.ty(),
-            Expr::Un(UnOp::BitsOf, _) => Ty::U32,
-            Expr::Un(_, a) => self.ty_of(a),
-            Expr::Bin(op, a, _) => {
-                if op.is_comparison() || op.is_logical() {
-                    Ty::BOOL
-                } else {
-                    // Arithmetic/bitwise preserve the left operand's type;
-                    // this covers pointer arithmetic (`ptr ± int` is `ptr`).
-                    self.ty_of(a)
-                }
-            }
-            Expr::Call(f, args) => match f {
-                MathFn::Min | MathFn::Max | MathFn::Abs => self.ty_of(&args[0]),
-                _ => Ty::F32,
-            },
-            Expr::Load { ptr, .. } => match self.ty_of(ptr) {
-                Ty::Ptr { elem, .. } => Ty::Prim(elem),
-                t => panic!("bytecode lowering: load through non-pointer {t}"),
-            },
-            Expr::Cast(to, _) => Ty::Prim(*to),
-        }
+        e.static_ty(&|v| self.var_tys[v as usize])
     }
 
     /// Lower `e` to a register: variables, literals, and builtins resolve to

@@ -1,8 +1,9 @@
 //! Per-launch preparation: what a device runs a kernel with.
 //!
 //! There are two executors. The tree walker ([`crate::interp::WarpExec`])
-//! interprets the KIR tree directly and needs nothing prepared; it is the
-//! reference oracle. The VM ([`crate::vm::VmExec`]) runs a
+//! interprets the KIR tree directly and needs only the loops' hang
+//! certificates prepared; it is the reference oracle. The VM
+//! ([`crate::vm::VmExec`]) runs a
 //! [`BatchCompiled`] — bytecode plus region plan — fetched from the
 //! process-wide build cache, with full-mask regions on
 //! ([`ExecEngine::Batch`]) or off ([`ExecEngine::Bytecode`]).
@@ -15,14 +16,18 @@
 use crate::bytecode::compile_cached;
 use crate::config::{DeviceConfig, ExecEngine};
 use crate::vm_batch::BatchCompiled;
+use hauberk_kir::analysis::{hang_certificates, HangCert};
 use hauberk_kir::KernelDef;
 use std::sync::Arc;
 
 /// A launch's prepared executor, built once per launch by
 /// [`ExecEngine::prepare`] and matched per warp by the device.
 pub enum Prepared {
-    /// The tree walker (nothing to compile).
-    TreeWalk,
+    /// The tree walker (nothing to compile, only loops to certify).
+    TreeWalk {
+        /// The kernel's hang certificates by loop id.
+        hang_certs: Vec<Option<HangCert>>,
+    },
     /// The VM over a cached compilation.
     Vm {
         /// Bytecode plus region plan, shared across launches and workers.
@@ -37,7 +42,9 @@ impl ExecEngine {
     /// through the build cache, so relaunching one kernel is a lookup).
     pub fn prepare(self, kernel: &KernelDef, cfg: &DeviceConfig) -> Prepared {
         match self {
-            ExecEngine::TreeWalk => Prepared::TreeWalk,
+            ExecEngine::TreeWalk => Prepared::TreeWalk {
+                hang_certs: hang_certificates(kernel),
+            },
             ExecEngine::Bytecode | ExecEngine::Batch => Prepared::Vm {
                 compiled: compile_cached(kernel, &cfg.cost),
                 regions: self == ExecEngine::Batch,
@@ -68,11 +75,11 @@ mod tests {
         let cfg = DeviceConfig::small_gpu();
         assert!(matches!(
             ExecEngine::TreeWalk.prepare(&k, &cfg),
-            Prepared::TreeWalk
+            Prepared::TreeWalk { .. }
         ));
         let vm = |e: ExecEngine| match e.prepare(&k, &cfg) {
             Prepared::Vm { compiled, regions } => (compiled, regions),
-            Prepared::TreeWalk => panic!("{e} prepared the tree walker"),
+            Prepared::TreeWalk { .. } => panic!("{e} prepared the tree walker"),
         };
         let (off, on) = (vm(ExecEngine::Bytecode), vm(ExecEngine::Batch));
         assert_eq!((off.1, on.1), (false, true));

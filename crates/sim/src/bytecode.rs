@@ -2,8 +2,8 @@
 //!
 //! A [`CompiledKernel`] bundles the bytecode from `hauberk-kir::lower` with
 //! the tables the VM wants preresolved per instruction stream instead of per
-//! dispatch: hook costs (which depend on the device's [`CostModel`]) and
-//! stable hook names for telemetry.
+//! dispatch: hook costs (which depend on the device's [`CostModel`]),
+//! stable hook names for telemetry, and the loops' hang certificates.
 //!
 //! [`compile_cached`] is the campaign-scale entry point: SWIFI campaigns
 //! launch the *same* instrumented kernel thousands of times (once per
@@ -17,6 +17,7 @@
 use crate::config::CostModel;
 use crate::interp::{hook_cost, hook_kind_name};
 use crate::vm_batch::{compile_batch, BatchCompiled};
+use hauberk_kir::analysis::{hang_certificates, HangCert};
 use hauberk_kir::lower::{lower_kernel, LoweredKernel};
 use hauberk_kir::KernelDef;
 use std::collections::hash_map::DefaultHasher;
@@ -32,6 +33,9 @@ pub struct CompiledKernel {
     pub hook_costs: Vec<u64>,
     /// Stable telemetry label of each hook.
     pub hook_names: Vec<&'static str>,
+    /// Hang certificate of each loop, by loop id
+    /// ([`hauberk_kir::analysis::hang_certificates`]).
+    pub hang_certs: Vec<Option<HangCert>>,
 }
 
 /// Compile `kernel` for a device with cost model `cost` (uncached).
@@ -51,6 +55,7 @@ pub fn compile(kernel: &KernelDef, cost: &CostModel) -> CompiledKernel {
         lowered,
         hook_costs,
         hook_names,
+        hang_certs: hang_certificates(kernel),
     }
 }
 

@@ -307,12 +307,13 @@ impl Device {
                 };
                 let t_warp = exec_ns.is_some().then(Instant::now);
                 let run_result = match ctx.prepared {
-                    Prepared::TreeWalk => WarpExec::new(
+                    Prepared::TreeWalk { hang_certs } => WarpExec::new(
                         kernel,
                         &self.config,
                         &mut self.mem,
                         &mut shared,
                         &mut *ctx.runtime,
+                        hang_certs,
                         &mut st.stats,
                         &mut st.budget,
                         geom,
@@ -349,10 +350,11 @@ impl Device {
                             stats: st.stats.clone(),
                         });
                     }
-                    Err(ExecErr::Hang) => {
+                    Err(ExecErr::Hang { certified }) => {
                         finalize(&mut st.stats, &st.sm_cycles);
                         return Some(LaunchOutcome::Hang {
                             stats: st.stats.clone(),
+                            certified,
                         });
                     }
                 }

@@ -345,6 +345,18 @@ pub trait HookRuntime {
         true
     }
 
+    /// Whether, for the rest of the launch, the callbacks can no longer act
+    /// at any of `hooks` or at the condition checks of `loops` — the hooks
+    /// and loops inside a loop whose hang certificate is being checked
+    /// (`crate::hang`). Answering `true` is a contract: from now on those
+    /// dispatch points read and mutate nothing, not even state that only a
+    /// post-run readout sees (a delivery flag, an alarm), so cutting the
+    /// loop short cannot change anything but the counters. Default: `false`
+    /// (never certify).
+    fn inert_within(&self, _hooks: &[Hook], _loops: &[LoopId]) -> bool {
+        false
+    }
+
     /// A stable fingerprint of the runtime state that can still influence
     /// the *remainder* of the launch — the part a reconvergence check must
     /// compare before splicing a reference suffix onto a resumed run
@@ -386,6 +398,10 @@ impl HookRuntime for NullRuntime {
 
     fn observes_loop(&self, _loop_id: LoopId) -> bool {
         false
+    }
+
+    fn inert_within(&self, _hooks: &[Hook], _loops: &[LoopId]) -> bool {
+        true
     }
 
     /// Stateless, so any two null runtimes are interchangeable.

@@ -4,13 +4,16 @@
 //! per-variable lane vector, an active mask through structured control flow,
 //! the pipeline pairing state for the dual-issue cost model, and the
 //! loop-cycle attribution. Traps (out-of-bounds in strict mode, misaligned
-//! accesses, illegal instructions) and budget exhaustion abort the launch.
+//! accesses, illegal instructions) and budget exhaustion abort the launch,
+//! as does a hang certificate (`crate::hang`) proving the budget will run out.
 
 use crate::config::{CostModel, DeviceConfig};
+use crate::hang::{certifies, checks_at};
 use crate::hooks::{HookCtx, HookRuntime, Lanes, LoopCheckCtx};
 use crate::memory::MemRegion;
 use crate::outcome::TrapReason;
 use crate::stats::{ExecStats, OpClass};
+use hauberk_kir::analysis::HangCert;
 use hauberk_kir::expr::{BinOp, BuiltinVar, Expr, MathFn, UnOp};
 use hauberk_kir::stmt::{Block, Hook, HookKind, Stmt};
 use hauberk_kir::{KernelDef, MemSpace, PrimTy, PtrVal, Value};
@@ -21,8 +24,12 @@ use hauberk_telemetry::{Event, Telemetry};
 pub enum ExecErr {
     /// The kernel trapped.
     Trap(TrapReason),
-    /// The cycle budget was exhausted (hang).
-    Hang,
+    /// The cycle budget was exhausted (hang), or a hang certificate proved
+    /// it would be (`certified`).
+    Hang {
+        /// Whether a certificate ended the run early.
+        certified: bool,
+    },
 }
 
 impl From<TrapReason> for ExecErr {
@@ -141,23 +148,35 @@ pub(crate) fn charge_op(
     Ok(tag)
 }
 
-/// Charge raw cycles (memory segment extras, hook costs, sync).
+/// Charge raw cycles (memory segment extras, hook costs, sync). A charge
+/// that overruns the budget charges only what was left, so every hang
+/// reports the whole budget in `work_cycles`, however it was reached.
 pub(crate) fn charge_cycles(
     stats: &mut ExecStats,
     budget: &mut u64,
     loop_depth: u32,
     c: u64,
 ) -> Result<(), ExecErr> {
+    if *budget < c {
+        exhaust_budget(stats, budget, loop_depth);
+        return Err(ExecErr::Hang { certified: false });
+    }
     stats.work_cycles += c;
     if loop_depth > 0 {
         stats.loop_cycles += c;
     }
-    if *budget < c {
-        *budget = 0;
-        return Err(ExecErr::Hang);
-    }
     *budget -= c;
     Ok(())
+}
+
+/// Charge everything left of the budget: what running it out inside the
+/// current loop nest charges, by the clamp in [`charge_cycles`].
+pub(crate) fn exhaust_budget(stats: &mut ExecStats, budget: &mut u64, loop_depth: u32) {
+    let c = std::mem::take(budget);
+    stats.work_cycles += c;
+    if loop_depth > 0 {
+        stats.loop_cycles += c;
+    }
 }
 
 /// Charge a warp memory access with segment coalescing.
@@ -281,6 +300,8 @@ pub struct WarpExec<'a> {
     global: &'a mut MemRegion,
     shared: &'a mut MemRegion,
     runtime: &'a mut dyn HookRuntime,
+    /// Hang certificates by loop id (`crate::hang`).
+    hang_certs: &'a [Option<HangCert>],
     stats: &'a mut ExecStats,
     /// Remaining cycle budget shared across the launch.
     budget: &'a mut u64,
@@ -300,7 +321,8 @@ pub struct WarpExec<'a> {
 
 impl<'a> WarpExec<'a> {
     /// Build a warp executor. `args` are the kernel parameter values,
-    /// broadcast to all lanes.
+    /// broadcast to all lanes; `hang_certs` are the kernel's hang
+    /// certificates by loop id (`hauberk_kir::analysis::hang_certificates`).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         kernel: &'a KernelDef,
@@ -308,6 +330,7 @@ impl<'a> WarpExec<'a> {
         global: &'a mut MemRegion,
         shared: &'a mut MemRegion,
         runtime: &'a mut dyn HookRuntime,
+        hang_certs: &'a [Option<HangCert>],
         stats: &'a mut ExecStats,
         budget: &'a mut u64,
         geom: WarpGeom,
@@ -332,6 +355,7 @@ impl<'a> WarpExec<'a> {
             global,
             shared,
             runtime,
+            hang_certs,
             stats,
             budget,
             geom,
@@ -718,6 +742,9 @@ impl<'a> WarpExec<'a> {
             if live == 0 {
                 break;
             }
+            if checks_at(iteration) {
+                self.check_hang_cert(loop_id, live)?;
+            }
             let f = self.exec_block(body, live)?;
             // Lanes that broke leave the loop; continue lanes rejoin for the
             // step/condition.
@@ -730,6 +757,26 @@ impl<'a> WarpExec<'a> {
                 }
             }
             iteration += 1;
+        }
+        Ok(())
+    }
+
+    /// End the launch as a certified hang when loop `loop_id`'s certificate
+    /// proves the lanes in `live` outlast the budget (`crate::hang`).
+    fn check_hang_cert(&mut self, loop_id: u32, live: u32) -> Result<(), ExecErr> {
+        let Some(Some(cert)) = self.hang_certs.get(loop_id as usize) else {
+            return Ok(());
+        };
+        let (regs, geom, warp_width) = (&self.regs, &self.geom, self.cfg.warp_width);
+        let leaf = |e: &Expr, lane: usize| match e {
+            Expr::Var(v) => regs[*v as usize][lane],
+            Expr::Builtin(b) => builtin_lanes(*b, geom, warp_width)[lane],
+            _ => unreachable!("a certificate leaf is a variable or builtin"),
+        };
+        let floor = self.cfg.cost.class_cost(OpClass::Ctl);
+        if certifies(cert, floor, *self.budget, live, leaf, &*self.runtime) {
+            exhaust_budget(self.stats, self.budget, self.loop_depth);
+            return Err(ExecErr::Hang { certified: true });
         }
         Ok(())
     }
@@ -1073,6 +1120,22 @@ pub(crate) fn cast_value(to: PrimTy, v: Value) -> Result<Value, TrapReason> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn charge_cycles_clamps_the_overrunning_charge() {
+        let mut stats = ExecStats::default();
+        let mut budget = 10;
+        charge_cycles(&mut stats, &mut budget, 1, 4).unwrap();
+        charge_cycles(&mut stats, &mut budget, 0, 6).unwrap();
+        assert_eq!((stats.work_cycles, stats.loop_cycles, budget), (10, 4, 0));
+        // An empty budget hangs on the next charge, adding nothing.
+        let mut budget = 3;
+        let err = charge_cycles(&mut stats, &mut budget, 2, 7).unwrap_err();
+        assert_eq!(err, ExecErr::Hang { certified: false });
+        assert_eq!((stats.work_cycles, stats.loop_cycles, budget), (13, 7, 0));
+        assert!(charge_cycles(&mut stats, &mut budget, 2, 1).is_err());
+        assert_eq!((stats.work_cycles, stats.loop_cycles), (13, 7));
+    }
 
     #[test]
     fn bin_value_int_div_by_zero_modes() {

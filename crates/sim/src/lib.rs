@@ -50,6 +50,7 @@ pub mod config;
 pub mod device;
 pub mod fault;
 mod footprint;
+mod hang;
 pub mod hooks;
 pub mod interp;
 pub mod memory;

@@ -78,8 +78,12 @@ pub enum LaunchOutcome {
     /// The kernel exceeded its cycle budget — the simulator-level analogue
     /// of the guardian's hang watchdog.
     Hang {
-        /// Statistics accumulated up to the cutoff.
+        /// Statistics accumulated up to the cutoff. `work_cycles` is always
+        /// the whole budget.
         stats: ExecStats,
+        /// Whether a hang certificate ended the launch before the budget ran
+        /// out (`crate::hang`); the verdict is the same either way.
+        certified: bool,
     },
 }
 
@@ -93,7 +97,7 @@ impl LaunchOutcome {
     pub fn stats(&self) -> &ExecStats {
         match self {
             LaunchOutcome::Completed(s) => s,
-            LaunchOutcome::Crash { stats, .. } | LaunchOutcome::Hang { stats } => stats,
+            LaunchOutcome::Crash { stats, .. } | LaunchOutcome::Hang { stats, .. } => stats,
         }
     }
 

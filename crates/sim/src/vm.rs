@@ -68,10 +68,11 @@
 
 use crate::bytecode::CompiledKernel;
 use crate::config::DeviceConfig;
+use crate::hang::{certifies, checks_at};
 use crate::hooks::{value_of, xor_word, HookCtx, HookRuntime, Lanes, LoopCheckCtx};
 use crate::interp::{
     bin_class, bin_value, builtin_lanes, cast_value, charge_cycles, charge_mem_op, charge_op,
-    lanes, math_value, un_value, warp_initial_mask, ExecErr, Pipe, Tag, WarpGeom,
+    exhaust_budget, lanes, math_value, un_value, warp_initial_mask, ExecErr, Pipe, Tag, WarpGeom,
 };
 use crate::memory::MemRegion;
 use crate::outcome::TrapReason;
@@ -82,7 +83,7 @@ use crate::vm_batch::{
 };
 use hauberk_kir::batch::TagSrc;
 use hauberk_kir::lower::{Op, Reg, NO_REG};
-use hauberk_kir::{BinOp, MathFn, MemSpace, PrimTy, Ty, UnOp, Value};
+use hauberk_kir::{BinOp, Expr, MathFn, MemSpace, PrimTy, Ty, UnOp, Value};
 use hauberk_telemetry::{Event, Telemetry};
 
 /// Raw-word equivalent of `as_index` for a statically-typed integer index.
@@ -679,6 +680,36 @@ impl<'a> VmExec<'a> {
         }
     }
 
+    /// End the launch as a certified hang when loop `loop_id`'s certificate
+    /// proves the lanes in `live` outlast the budget (mirrors
+    /// `WarpExec::check_hang_cert`).
+    fn check_hang_cert(&mut self, loop_id: u32, live: u32) -> Result<(), ExecErr> {
+        let compiled = self.compiled;
+        let Some(Some(cert)) = compiled.hang_certs.get(loop_id as usize) else {
+            return Ok(());
+        };
+        let lk = &compiled.lowered;
+        let (regs, w) = (&self.regs, self.width);
+        let leaf = |e: &Expr, lane: usize| {
+            let (reg, ty) = match e {
+                Expr::Var(v) => (*v as usize, lk.vars[*v as usize].ty),
+                Expr::Builtin(b) => {
+                    let i = lk.builtins.iter().position(|x| x == b);
+                    let i = i.expect("every builtin has a pool register");
+                    (lk.builtin_base() as usize + i, b.ty())
+                }
+                _ => unreachable!("a certificate leaf is a variable or builtin"),
+            };
+            value_of(ty, regs[reg * w + lane])
+        };
+        let floor = self.cfg.cost.class_cost(OpClass::Ctl);
+        if certifies(cert, floor, *self.budget, live, leaf, &*self.runtime) {
+            exhaust_budget(self.stats, self.budget, self.loop_depth);
+            return Err(ExecErr::Hang { certified: true });
+        }
+        Ok(())
+    }
+
     /// Dispatch hook `hook` (mirrors `WarpExec::exec_hook`; the argument
     /// registers were evaluated — and their inactive lanes zeroed — by the
     /// preceding instructions).
@@ -795,7 +826,7 @@ impl<'a> VmExec<'a> {
         }
         // Data plane.
         let w = self.width;
-        run_micro_ops(&mut self.regs, w, w, &r.micro);
+        run_micro_ops(&mut self.regs, w, &r.micro);
         // Tag plane: two-phase write-back so an `Entry(e)` source reads e's
         // tag from *before* the region even if e itself is written back.
         self.wb_scratch.clear();
@@ -1188,6 +1219,9 @@ impl<'a> VmExec<'a> {
                         pc = *exit_pc as usize;
                     } else {
                         mask = *live;
+                        if checks_at(iteration) {
+                            self.check_hang_cert(*loop_id, mask)?;
+                        }
                         pc += 1;
                     }
                 }

@@ -589,18 +589,19 @@ pub fn compile_batch(kernel: &KernelDef, cost: &CostModel) -> BatchCompiled {
 /// multiple of 8 (the 1-lane CPU device) use the scalar tail loop.
 const CHUNK: usize = 8;
 
-/// `d[l] = f(s[l])` over lanes `[0, n)` of rows strided by `w`, chunked.
-/// Chunks are copied into locals before the destination row is written, so
-/// `d == s` aliasing is safe. `n < w` is the uniform fast path (lane 0 only).
+/// `d[l] = f(s[l])` over the `w` lanes of rows strided by `w`, chunked (a
+/// scalar loop when `w` is not a multiple of the chunk, as on the 1-lane CPU
+/// device). Chunks are copied into locals before the destination row is
+/// written, so `d == s` aliasing is safe.
 #[inline(always)]
-fn row1(regs: &mut [u32], w: usize, n: usize, d: u32, s: u32, f: impl Fn(u32) -> u32) {
+fn row1(regs: &mut [u32], w: usize, d: u32, s: u32, f: impl Fn(u32) -> u32) {
     let (db, sb) = (d as usize * w, s as usize * w);
-    assert!(n <= w && db + n <= regs.len() && sb + n <= regs.len());
-    if n.is_multiple_of(CHUNK) {
+    assert!(db + w <= regs.len() && sb + w <= regs.len());
+    if w.is_multiple_of(CHUNK) {
         let mut x = [0u32; CHUNK];
         let mut o = [0u32; CHUNK];
         let mut c = 0;
-        while c < n {
+        while c < w {
             x.copy_from_slice(&regs[sb + c..sb + c + CHUNK]);
             for l in 0..CHUNK {
                 o[l] = f(x[l]);
@@ -609,24 +610,24 @@ fn row1(regs: &mut [u32], w: usize, n: usize, d: u32, s: u32, f: impl Fn(u32) ->
             c += CHUNK;
         }
     } else {
-        for l in 0..n {
+        for l in 0..w {
             regs[db + l] = f(regs[sb + l]);
         }
     }
 }
 
-/// `d[l] = f(a[l], b[l])` over lanes `[0, n)`, chunked (alias-safe like
+/// `d[l] = f(a[l], b[l])` over the `w` lanes, chunked (alias-safe like
 /// [`row1`]).
 #[inline(always)]
-fn row2(regs: &mut [u32], w: usize, n: usize, d: u32, a: u32, b: u32, f: impl Fn(u32, u32) -> u32) {
+fn row2(regs: &mut [u32], w: usize, d: u32, a: u32, b: u32, f: impl Fn(u32, u32) -> u32) {
     let (db, ab, bb) = (d as usize * w, a as usize * w, b as usize * w);
-    assert!(n <= w && db + n <= regs.len() && ab + n <= regs.len() && bb + n <= regs.len());
-    if n.is_multiple_of(CHUNK) {
+    assert!(db + w <= regs.len() && ab + w <= regs.len() && bb + w <= regs.len());
+    if w.is_multiple_of(CHUNK) {
         let mut x = [0u32; CHUNK];
         let mut y = [0u32; CHUNK];
         let mut o = [0u32; CHUNK];
         let mut c = 0;
-        while c < n {
+        while c < w {
             x.copy_from_slice(&regs[ab + c..ab + c + CHUNK]);
             y.copy_from_slice(&regs[bb + c..bb + c + CHUNK]);
             for l in 0..CHUNK {
@@ -636,7 +637,7 @@ fn row2(regs: &mut [u32], w: usize, n: usize, d: u32, a: u32, b: u32, f: impl Fn
             c += CHUNK;
         }
     } else {
-        for l in 0..n {
+        for l in 0..w {
             regs[db + l] = f(regs[ab + l], regs[bb + l]);
         }
     }
@@ -644,150 +645,117 @@ fn row2(regs: &mut [u32], w: usize, n: usize, d: u32, a: u32, b: u32, f: impl Fn
 
 /// f32 view of [`row2`].
 #[inline(always)]
-fn row2f(
-    regs: &mut [u32],
-    w: usize,
-    n: usize,
-    d: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(f32, f32) -> f32,
-) {
-    row2(regs, w, n, d, a, b, |x, y| {
+fn row2f(regs: &mut [u32], w: usize, d: u32, a: u32, b: u32, f: impl Fn(f32, f32) -> f32) {
+    row2(regs, w, d, a, b, |x, y| {
         f(f32::from_bits(x), f32::from_bits(y)).to_bits()
     });
 }
 
 /// f32-comparison view of [`row2`].
 #[inline(always)]
-fn row2fc(
-    regs: &mut [u32],
-    w: usize,
-    n: usize,
-    d: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(f32, f32) -> bool,
-) {
-    row2(regs, w, n, d, a, b, |x, y| {
+fn row2fc(regs: &mut [u32], w: usize, d: u32, a: u32, b: u32, f: impl Fn(f32, f32) -> bool) {
+    row2(regs, w, d, a, b, |x, y| {
         f(f32::from_bits(x), f32::from_bits(y)) as u32
     });
 }
 
 /// i32 view of [`row2`].
 #[inline(always)]
-fn row2i(
-    regs: &mut [u32],
-    w: usize,
-    n: usize,
-    d: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(i32, i32) -> i32,
-) {
-    row2(regs, w, n, d, a, b, |x, y| f(x as i32, y as i32) as u32);
+fn row2i(regs: &mut [u32], w: usize, d: u32, a: u32, b: u32, f: impl Fn(i32, i32) -> i32) {
+    row2(regs, w, d, a, b, |x, y| f(x as i32, y as i32) as u32);
 }
 
 /// i32-comparison view of [`row2`].
 #[inline(always)]
-fn row2ic(
-    regs: &mut [u32],
-    w: usize,
-    n: usize,
-    d: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(i32, i32) -> bool,
-) {
-    row2(regs, w, n, d, a, b, |x, y| f(x as i32, y as i32) as u32);
+fn row2ic(regs: &mut [u32], w: usize, d: u32, a: u32, b: u32, f: impl Fn(i32, i32) -> bool) {
+    row2(regs, w, d, a, b, |x, y| f(x as i32, y as i32) as u32);
 }
 
-/// Execute a region's data plane over lanes `[0, n)` of the full-mask
-/// register file (rows strided by `w`). `n == w` is the batched path;
-/// `n == 1` is the uniform-region path (the caller broadcasts afterwards).
-pub(crate) fn run_micro_ops(regs: &mut [u32], w: usize, n: usize, ops: &[MicroOp]) {
+/// Execute a region's data plane over every lane of the full-mask register
+/// file (rows strided by the warp width `w`).
+pub(crate) fn run_micro_ops(regs: &mut [u32], w: usize, ops: &[MicroOp]) {
     use BinK as B;
     use UnK as U;
     for op in ops {
         match *op {
             MicroOp::Lit { d, bits } => {
                 let db = d as usize * w;
-                regs[db..db + n].fill(bits);
+                regs[db..db + w].fill(bits);
             }
             MicroOp::Copy { d, s } => {
                 if d != s {
-                    row1(regs, w, n, d, s, |x| x);
+                    row1(regs, w, d, s, |x| x);
                 }
             }
             MicroOp::Un { k, d, s } => match k {
-                U::NegF => row1(regs, w, n, d, s, |x| (-f32::from_bits(x)).to_bits()),
-                U::NegI => row1(regs, w, n, d, s, |x| (x as i32).wrapping_neg() as u32),
-                U::NotB => row1(regs, w, n, d, s, |x| x ^ 1),
-                U::BitNot => row1(regs, w, n, d, s, |x| !x),
-                U::AbsF => row1(regs, w, n, d, s, |x| f32::from_bits(x).abs().to_bits()),
-                U::AbsI => row1(regs, w, n, d, s, |x| (x as i32).wrapping_abs() as u32),
-                U::SqrtF => row1(regs, w, n, d, s, |x| f32::from_bits(x).sqrt().to_bits()),
-                U::RsqrtF => row1(regs, w, n, d, s, |x| {
+                U::NegF => row1(regs, w, d, s, |x| (-f32::from_bits(x)).to_bits()),
+                U::NegI => row1(regs, w, d, s, |x| (x as i32).wrapping_neg() as u32),
+                U::NotB => row1(regs, w, d, s, |x| x ^ 1),
+                U::BitNot => row1(regs, w, d, s, |x| !x),
+                U::AbsF => row1(regs, w, d, s, |x| f32::from_bits(x).abs().to_bits()),
+                U::AbsI => row1(regs, w, d, s, |x| (x as i32).wrapping_abs() as u32),
+                U::SqrtF => row1(regs, w, d, s, |x| f32::from_bits(x).sqrt().to_bits()),
+                U::RsqrtF => row1(regs, w, d, s, |x| {
                     (1.0 / f32::from_bits(x).sqrt()).to_bits()
                 }),
-                U::SinF => row1(regs, w, n, d, s, |x| f32::from_bits(x).sin().to_bits()),
-                U::CosF => row1(regs, w, n, d, s, |x| f32::from_bits(x).cos().to_bits()),
-                U::ExpF => row1(regs, w, n, d, s, |x| f32::from_bits(x).exp().to_bits()),
-                U::LogF => row1(regs, w, n, d, s, |x| f32::from_bits(x).ln().to_bits()),
-                U::FloorF => row1(regs, w, n, d, s, |x| f32::from_bits(x).floor().to_bits()),
-                U::F2I => row1(regs, w, n, d, s, |x| f32::from_bits(x) as i32 as u32),
-                U::F2U => row1(regs, w, n, d, s, |x| f32::from_bits(x) as u32),
-                U::F2B => row1(regs, w, n, d, s, |x| (f32::from_bits(x) != 0.0) as u32),
-                U::I2F => row1(regs, w, n, d, s, |x| (x as i32 as f32).to_bits()),
-                U::U2F => row1(regs, w, n, d, s, |x| (x as f32).to_bits()),
-                U::B2F => row1(regs, w, n, d, s, |x| ((x & 1) as f32).to_bits()),
-                U::Nz => row1(regs, w, n, d, s, |x| (x != 0) as u32),
-                U::MaskB => row1(regs, w, n, d, s, |x| x & 1),
+                U::SinF => row1(regs, w, d, s, |x| f32::from_bits(x).sin().to_bits()),
+                U::CosF => row1(regs, w, d, s, |x| f32::from_bits(x).cos().to_bits()),
+                U::ExpF => row1(regs, w, d, s, |x| f32::from_bits(x).exp().to_bits()),
+                U::LogF => row1(regs, w, d, s, |x| f32::from_bits(x).ln().to_bits()),
+                U::FloorF => row1(regs, w, d, s, |x| f32::from_bits(x).floor().to_bits()),
+                U::F2I => row1(regs, w, d, s, |x| f32::from_bits(x) as i32 as u32),
+                U::F2U => row1(regs, w, d, s, |x| f32::from_bits(x) as u32),
+                U::F2B => row1(regs, w, d, s, |x| (f32::from_bits(x) != 0.0) as u32),
+                U::I2F => row1(regs, w, d, s, |x| (x as i32 as f32).to_bits()),
+                U::U2F => row1(regs, w, d, s, |x| (x as f32).to_bits()),
+                U::B2F => row1(regs, w, d, s, |x| ((x & 1) as f32).to_bits()),
+                U::Nz => row1(regs, w, d, s, |x| (x != 0) as u32),
+                U::MaskB => row1(regs, w, d, s, |x| x & 1),
                 U::Ident => {
                     if d != s {
-                        row1(regs, w, n, d, s, |x| x);
+                        row1(regs, w, d, s, |x| x);
                     }
                 }
             },
             MicroOp::Bin { k, d, a, b } => match k {
-                B::AddF => row2f(regs, w, n, d, a, b, |x, y| x + y),
-                B::SubF => row2f(regs, w, n, d, a, b, |x, y| x - y),
-                B::MulF => row2f(regs, w, n, d, a, b, |x, y| x * y),
-                B::DivF => row2f(regs, w, n, d, a, b, |x, y| x / y),
-                B::RemF => row2f(regs, w, n, d, a, b, |x, y| x % y),
-                B::LtF => row2fc(regs, w, n, d, a, b, |x, y| x < y),
-                B::LeF => row2fc(regs, w, n, d, a, b, |x, y| x <= y),
-                B::GtF => row2fc(regs, w, n, d, a, b, |x, y| x > y),
-                B::GeF => row2fc(regs, w, n, d, a, b, |x, y| x >= y),
-                B::AddI => row2i(regs, w, n, d, a, b, |x, y| x.wrapping_add(y)),
-                B::SubI => row2i(regs, w, n, d, a, b, |x, y| x.wrapping_sub(y)),
-                B::MulI => row2i(regs, w, n, d, a, b, |x, y| x.wrapping_mul(y)),
-                B::ShlI => row2i(regs, w, n, d, a, b, |x, y| x.wrapping_shl(y as u32 & 31)),
-                B::ShrI => row2i(regs, w, n, d, a, b, |x, y| x.wrapping_shr(y as u32 & 31)),
-                B::LtI => row2ic(regs, w, n, d, a, b, |x, y| x < y),
-                B::LeI => row2ic(regs, w, n, d, a, b, |x, y| x <= y),
-                B::GtI => row2ic(regs, w, n, d, a, b, |x, y| x > y),
-                B::GeI => row2ic(regs, w, n, d, a, b, |x, y| x >= y),
-                B::AddU => row2(regs, w, n, d, a, b, |x, y| x.wrapping_add(y)),
-                B::SubU => row2(regs, w, n, d, a, b, |x, y| x.wrapping_sub(y)),
-                B::MulU => row2(regs, w, n, d, a, b, |x, y| x.wrapping_mul(y)),
-                B::ShlU => row2(regs, w, n, d, a, b, |x, y| x.wrapping_shl(y & 31)),
-                B::ShrU => row2(regs, w, n, d, a, b, |x, y| x.wrapping_shr(y & 31)),
-                B::LtU => row2(regs, w, n, d, a, b, |x, y| (x < y) as u32),
-                B::LeU => row2(regs, w, n, d, a, b, |x, y| (x <= y) as u32),
-                B::GtU => row2(regs, w, n, d, a, b, |x, y| (x > y) as u32),
-                B::GeU => row2(regs, w, n, d, a, b, |x, y| (x >= y) as u32),
-                B::AndBits => row2(regs, w, n, d, a, b, |x, y| x & y),
-                B::OrBits => row2(regs, w, n, d, a, b, |x, y| x | y),
-                B::XorBits => row2(regs, w, n, d, a, b, |x, y| x ^ y),
-                B::EqBits => row2(regs, w, n, d, a, b, |x, y| (x == y) as u32),
-                B::NeBits => row2(regs, w, n, d, a, b, |x, y| (x != y) as u32),
-                B::MinF => row2f(regs, w, n, d, a, b, |x, y| x.min(y)),
-                B::MaxF => row2f(regs, w, n, d, a, b, |x, y| x.max(y)),
-                B::MinI => row2i(regs, w, n, d, a, b, |x, y| x.min(y)),
-                B::MaxI => row2i(regs, w, n, d, a, b, |x, y| x.max(y)),
-                B::MinU => row2(regs, w, n, d, a, b, |x, y| x.min(y)),
-                B::MaxU => row2(regs, w, n, d, a, b, |x, y| x.max(y)),
+                B::AddF => row2f(regs, w, d, a, b, |x, y| x + y),
+                B::SubF => row2f(regs, w, d, a, b, |x, y| x - y),
+                B::MulF => row2f(regs, w, d, a, b, |x, y| x * y),
+                B::DivF => row2f(regs, w, d, a, b, |x, y| x / y),
+                B::RemF => row2f(regs, w, d, a, b, |x, y| x % y),
+                B::LtF => row2fc(regs, w, d, a, b, |x, y| x < y),
+                B::LeF => row2fc(regs, w, d, a, b, |x, y| x <= y),
+                B::GtF => row2fc(regs, w, d, a, b, |x, y| x > y),
+                B::GeF => row2fc(regs, w, d, a, b, |x, y| x >= y),
+                B::AddI => row2i(regs, w, d, a, b, |x, y| x.wrapping_add(y)),
+                B::SubI => row2i(regs, w, d, a, b, |x, y| x.wrapping_sub(y)),
+                B::MulI => row2i(regs, w, d, a, b, |x, y| x.wrapping_mul(y)),
+                B::ShlI => row2i(regs, w, d, a, b, |x, y| x.wrapping_shl(y as u32 & 31)),
+                B::ShrI => row2i(regs, w, d, a, b, |x, y| x.wrapping_shr(y as u32 & 31)),
+                B::LtI => row2ic(regs, w, d, a, b, |x, y| x < y),
+                B::LeI => row2ic(regs, w, d, a, b, |x, y| x <= y),
+                B::GtI => row2ic(regs, w, d, a, b, |x, y| x > y),
+                B::GeI => row2ic(regs, w, d, a, b, |x, y| x >= y),
+                B::AddU => row2(regs, w, d, a, b, |x, y| x.wrapping_add(y)),
+                B::SubU => row2(regs, w, d, a, b, |x, y| x.wrapping_sub(y)),
+                B::MulU => row2(regs, w, d, a, b, |x, y| x.wrapping_mul(y)),
+                B::ShlU => row2(regs, w, d, a, b, |x, y| x.wrapping_shl(y & 31)),
+                B::ShrU => row2(regs, w, d, a, b, |x, y| x.wrapping_shr(y & 31)),
+                B::LtU => row2(regs, w, d, a, b, |x, y| (x < y) as u32),
+                B::LeU => row2(regs, w, d, a, b, |x, y| (x <= y) as u32),
+                B::GtU => row2(regs, w, d, a, b, |x, y| (x > y) as u32),
+                B::GeU => row2(regs, w, d, a, b, |x, y| (x >= y) as u32),
+                B::AndBits => row2(regs, w, d, a, b, |x, y| x & y),
+                B::OrBits => row2(regs, w, d, a, b, |x, y| x | y),
+                B::XorBits => row2(regs, w, d, a, b, |x, y| x ^ y),
+                B::EqBits => row2(regs, w, d, a, b, |x, y| (x == y) as u32),
+                B::NeBits => row2(regs, w, d, a, b, |x, y| (x != y) as u32),
+                B::MinF => row2f(regs, w, d, a, b, |x, y| x.min(y)),
+                B::MaxF => row2f(regs, w, d, a, b, |x, y| x.max(y)),
+                B::MinI => row2i(regs, w, d, a, b, |x, y| x.min(y)),
+                B::MaxI => row2i(regs, w, d, a, b, |x, y| x.max(y)),
+                B::MinU => row2(regs, w, d, a, b, |x, y| x.min(y)),
+                B::MaxU => row2(regs, w, d, a, b, |x, y| x.max(y)),
             },
             MicroOp::PtrAdd {
                 d,
@@ -796,7 +764,7 @@ pub(crate) fn run_micro_ops(regs: &mut [u32], w: usize, n: usize, ops: &[MicroOp
                 esz,
                 neg,
                 it,
-            } => row2(regs, w, n, d, a, b, |x, y| {
+            } => row2(regs, w, d, a, b, |x, y| {
                 let mut i = match it {
                     PrimTy::I32 => y as i32 as i64,
                     PrimTy::U32 => y as i64,

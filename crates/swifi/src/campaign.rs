@@ -257,7 +257,7 @@ impl CampaignEnv {
                     self.engine,
                 );
                 self.add_sim_cycles(run.outcome.stats().work_cycles);
-                phases.add_execute(t_exec.elapsed().as_nanos() as u64);
+                phases.add_injection(t_exec.elapsed().as_nanos() as u64, &run.outcome);
                 let t_cls = Instant::now();
                 let rec = self.record_sensitivity(index, &run.outcome, run.output(), &rt);
                 phases.add_classify(t_cls.elapsed().as_nanos() as u64);
@@ -277,7 +277,7 @@ impl CampaignEnv {
                     self.engine,
                 );
                 self.add_sim_cycles(run.outcome.stats().work_cycles);
-                phases.add_execute(t_exec.elapsed().as_nanos() as u64);
+                phases.add_injection(t_exec.elapsed().as_nanos() as u64, &run.outcome);
                 let t_cls = Instant::now();
                 let rec = self.record_coverage(index, &run.outcome, run.output(), &rt);
                 phases.add_classify(t_cls.elapsed().as_nanos() as u64);
@@ -309,7 +309,7 @@ impl CampaignEnv {
                 let t_exec = Instant::now();
                 let mut rt = FiRuntime::new(Some(p.fault)).with_telemetry(tele.clone());
                 let run = store.run_injection(self, prog, p.fault.thread, &mut rt, tele);
-                phases.add_execute(t_exec.elapsed().as_nanos() as u64);
+                phases.add_injection(t_exec.elapsed().as_nanos() as u64, &run.outcome);
                 let t_cls = Instant::now();
                 let rec = self.record_sensitivity(index, &run.outcome, run.output.as_deref(), &rt);
                 phases.add_classify(t_cls.elapsed().as_nanos() as u64);
@@ -320,7 +320,7 @@ impl CampaignEnv {
                 let mut rt = FiFtRuntime::new(Some(p.fault), self.control_block(cov))
                     .with_telemetry(tele.clone());
                 let run = store.run_injection(self, prog, p.fault.thread, &mut rt, tele);
-                phases.add_execute(t_exec.elapsed().as_nanos() as u64);
+                phases.add_injection(t_exec.elapsed().as_nanos() as u64, &run.outcome);
                 let t_cls = Instant::now();
                 let rec = self.record_coverage(index, &run.outcome, run.output.as_deref(), &rt);
                 phases.add_classify(t_cls.elapsed().as_nanos() as u64);

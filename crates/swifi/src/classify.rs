@@ -142,6 +142,7 @@ mod tests {
         );
         let hang = LaunchOutcome::Hang {
             stats: ExecStats::default(),
+            certified: false,
         };
         assert_eq!(
             classify(&hang, None, &golden, &spec(), true),

@@ -44,7 +44,7 @@ use crate::journal::{
     RecordedInjection, UnitRecord,
 };
 use crate::plan::InjectionPlan;
-use crate::profile::{flag_stragglers, PhaseAcc, PhaseProfile};
+use crate::profile::{flag_stragglers, HangTally, PhaseAcc, PhaseProfile};
 use crate::report;
 use crate::sampler::{wilson_interval, AdaptiveConfig};
 use crate::stats::OutcomeCounts;
@@ -211,6 +211,9 @@ pub struct ShardedCampaignResult {
     /// it lives on the struct and stays out of [`Self::summary_json`] /
     /// [`Self::summarize`], whose bytes are resume-invariant.
     pub profile: PhaseProfile,
+    /// The hang injections among this process's executed ones, with their
+    /// share of the profile's execute time. Struct-only, like the profile.
+    pub hangs: HangTally,
     /// Simulated-GPU work behind this process's outcomes, in work cycles
     /// (golden/reference runs excluded for plain campaigns, included once for
     /// checkpointed ones; skipped prefixes and spliced tails excluded;
@@ -687,6 +690,7 @@ pub fn run_orchestrated_campaign_traced(
         resumed_injections,
         dropped_lines: replay.dropped_lines as u64,
         profile,
+        hangs: phases.hangs(),
         sim_cycles: env.sim_cycles.load(std::sync::atomic::Ordering::Relaxed),
         checkpoint: store.as_ref().map(|s| CheckpointStats {
             sections: sections.sections.len() as u64,

@@ -20,22 +20,47 @@
 //! deliberately excluded from `summary_json`/`summarize`, whose bytes must
 //! stay identical across interrupt/resume and shard merges.
 
+use hauberk_sim::LaunchOutcome;
 use hauberk_telemetry::json::Json;
 use hauberk_telemetry::report::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Thread-safe accumulator for the phases timed inside per-injection
-/// closures on rayon worker threads.
+/// closures on rayon worker threads, and for the [`HangTally`].
 #[derive(Debug, Default)]
 pub struct PhaseAcc {
     execute_ns: AtomicU64,
     classify_ns: AtomicU64,
+    hangs: AtomicU64,
+    certified_hangs: AtomicU64,
+    hang_execute_ns: AtomicU64,
 }
 
 impl PhaseAcc {
     /// Add engine-execution nanoseconds.
     pub fn add_execute(&self, ns: u64) {
         self.execute_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Add one injection's engine-execution nanoseconds, tallying them as a
+    /// hang's when its launch hung.
+    pub fn add_injection(&self, ns: u64, outcome: &LaunchOutcome) {
+        self.add_execute(ns);
+        if let LaunchOutcome::Hang { certified, .. } = outcome {
+            self.hangs.fetch_add(1, Ordering::Relaxed);
+            self.certified_hangs
+                .fetch_add(u64::from(*certified), Ordering::Relaxed);
+            self.hang_execute_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+    }
+
+    /// The hang injections tallied so far.
+    pub fn hangs(&self) -> HangTally {
+        HangTally {
+            injections: self.hangs.load(Ordering::Relaxed),
+            certified: self.certified_hangs.load(Ordering::Relaxed),
+            execute_ns: self.hang_execute_ns.load(Ordering::Relaxed),
+        }
     }
 
     /// Add classification nanoseconds.
@@ -51,6 +76,53 @@ impl PhaseAcc {
     /// Accumulated classification nanoseconds.
     pub fn classify_ns(&self) -> u64 {
         self.classify_ns.load(Ordering::Relaxed)
+    }
+}
+
+/// The injections of one campaign run whose launch hung: how many, how many
+/// a hang certificate ended before the budget ran out (`hauberk_sim`'s
+/// `hang` module), and their summed engine-execution time — a share of the
+/// profile's execute phase. Observational, like the profile: journal
+/// replays count nothing and summaries never see it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HangTally {
+    /// Hang injections executed.
+    pub injections: u64,
+    /// Of those, the ones a hang certificate ended.
+    pub certified: u64,
+    /// Their engine-execution nanoseconds (summed across workers).
+    pub execute_ns: u64,
+}
+
+impl HangTally {
+    /// JSON form.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("injections", Json::uint(self.injections)),
+            ("certified", Json::uint(self.certified)),
+            ("execute_ns", Json::uint(self.execute_ns)),
+        ])
+    }
+
+    /// One-row table, with the hangs' share of `execute_ns` (the profile's
+    /// execute phase).
+    pub fn table(&self, execute_ns: u64) -> Table {
+        let mut t = Table::new(
+            "hang injections",
+            &["hangs", "certified", "ms", "share of execute"],
+        );
+        let share = if execute_ns == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}%", self.execute_ns as f64 / execute_ns as f64 * 100.0)
+        };
+        t.row(vec![
+            self.injections.to_string(),
+            self.certified.to_string(),
+            format!("{:.2}", self.execute_ns as f64 / 1e6),
+            share,
+        ]);
+        t
     }
 }
 
@@ -237,6 +309,30 @@ mod tests {
         acc.add_classify(3);
         assert_eq!(acc.execute_ns(), 12);
         assert_eq!(acc.classify_ns(), 3);
+    }
+
+    #[test]
+    fn hangs_are_tallied_with_their_execute_time() {
+        use hauberk_sim::ExecStats;
+        let acc = PhaseAcc::default();
+        let hang = |certified| LaunchOutcome::Hang {
+            stats: ExecStats::default(),
+            certified,
+        };
+        acc.add_injection(10, &LaunchOutcome::Completed(ExecStats::default()));
+        acc.add_injection(30, &hang(true));
+        acc.add_injection(60, &hang(false));
+        assert_eq!(acc.execute_ns(), 100);
+        let t = acc.hangs();
+        assert_eq!(
+            t,
+            HangTally {
+                injections: 2,
+                certified: 1,
+                execute_ns: 90
+            }
+        );
+        assert!(t.table(100).to_text().contains("90.0%"));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! per-section outcome map must re-total to the campaign.
 //!
 //! On the paper's CP and PNS the same equivalence holds, and checkpointing
-//! must at least halve the simulated cycles.
+//! must at least halve the simulated cycles. PNS coverage campaigns whose
+//! hangs are all certified keep summary digests pinned from when every hang
+//! ran out its budget.
 //!
 //! Thread counts are varied only by the property test and by
 //! `composition_and_fallback_are_byte_identical`: the other tests in this
@@ -405,5 +407,56 @@ fn paper_benchmarks_checkpoint_halves_simulated_cycles() {
             ck.sim_cycles,
             full.sim_cycles
         );
+    }
+}
+
+/// PNS coverage campaigns that contain hangs — sign flips of the
+/// memory-free step loop's iterator, which a hang certificate ends without
+/// running out the watchdog budget — keep the summary bytes of the run-out
+/// verdicts: the `summary_json` digests below were recorded while every
+/// hang still ran out its budget. The first plan (quick scale, 1 hang) runs
+/// with checkpointing off and on; the second (14 hangs) is the first
+/// campaign of perfbench's seed-1 `pns-ckpt` workload, which checkpoints.
+#[test]
+fn certified_pns_hangs_keep_pinned_summaries() {
+    let prog = hauberk_benchmarks::program_by_name("PNS", hauberk_benchmarks::ProblemScale::Quick)
+        .expect("paper benchmark");
+    for (seed, masks, checkpoints, pin) in [
+        (
+            CampaignConfig::default().seed,
+            25,
+            &[false, true][..],
+            "8ddf4c0474fb19a1",
+        ),
+        (3_837_447_845, 320, &[true][..], "7ee6e36b1c71c194"),
+    ] {
+        let cfg = CampaignConfig {
+            plan: PlanConfig {
+                vars_per_program: 20,
+                masks_per_var: masks,
+                bit_counts: hauberk_swifi::mask::PAPER_BIT_COUNTS.to_vec(),
+                ..PlanConfig::default()
+            },
+            seed,
+            ..Default::default()
+        };
+        for &checkpoint in checkpoints {
+            let orch = OrchestratorConfig {
+                checkpoint,
+                ..Default::default()
+            };
+            let r = run_orchestrated_campaign(
+                prog.as_ref(),
+                CampaignKind::Coverage(FtOptions::default()),
+                &cfg,
+                &orch,
+            )
+            .expect("campaign");
+            let label = format!("seed {seed}, {masks} masks, checkpoint {checkpoint}");
+            let digest = hauberk::canon::fnv1a_hex(r.summary_json().to_string().as_bytes());
+            assert_eq!(digest, pin, "{label}: summary changed");
+            assert!(r.hangs.injections > 0, "{label}: no hang");
+            assert_eq!(r.hangs.certified, r.hangs.injections, "{label}");
+        }
     }
 }

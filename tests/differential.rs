@@ -26,6 +26,13 @@
 //! any mismatch the test panics with the offending kernel pretty-printed
 //! next to its bytecode disassembly.
 //!
+//! A second generator builds memory-free counted loops (nested, divergent,
+//! with `continue` and FI points) and faults their iterators, bounds and
+//! decisions under small budgets: on every engine a run whose hang a
+//! certificate ends must match the same run with certificates refused
+//! (outcome kind, `work_cycles`, `loop_cycles`, output), and the engines
+//! must agree on the certified runs.
+//!
 //! Case counts: 256 per property in release (the CI release-test job), a
 //! smaller smoke count under `cfg(debug_assertions)` so `cargo test` stays
 //! quick locally. `PROPTEST_CASES` overrides both.
@@ -790,7 +797,8 @@ proptest! {
         let profiler = build(&k, BuildVariant::Profiler(FtOptions::default())).unwrap();
         let n_det = profiler.detectors.len();
         let runs = ExecEngine::ALL.map(|e| {
-            let (run, pr) = run_engine(&profiler.kernel, g.trip, e, ProfilerRuntime::default());
+            let (run, pr) =
+                run_engine(&profiler.kernel, g.trip, e, ProfilerRuntime::with_site_samples());
             let records = profile_records(&pr, n_det, &profiler.fi);
             (run, records)
         });
@@ -880,6 +888,282 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Hang certificates
+// ---------------------------------------------------------------------------
+
+/// Recipe for one statement of a memory-free counted loop body: every loop
+/// of the kernel stays certifiable, so a fault on its iterator or its bound
+/// can end in a certified hang.
+#[derive(Debug, Clone)]
+enum CountedStmt {
+    /// `x = x * 1103515245 + 12345 + k;` and an FI point on `x`.
+    Lcg(u8),
+    /// A divergent `if`/`else` on the LCG state.
+    Branch(u8, u8),
+    /// `if ((x & mask) == 0) { continue; }`.
+    Skip(u8),
+    /// A nested counted loop over `j` with a lane-varying bound, and an FI
+    /// point on `y` inside it.
+    Inner(u8),
+}
+
+#[derive(Debug, Clone)]
+struct GenCounted {
+    /// The outer loop tests `i <= m` instead of `i < m`.
+    inclusive: bool,
+    /// Base trip count (the `n` parameter).
+    trip: u8,
+    body: Vec<CountedStmt>,
+}
+
+fn gen_counted() -> impl Strategy<Value = GenCounted> {
+    let stmt = prop_oneof![
+        any::<u8>().prop_map(CountedStmt::Lcg),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| CountedStmt::Branch(a, b)),
+        any::<u8>().prop_map(CountedStmt::Skip),
+        any::<u8>().prop_map(CountedStmt::Inner),
+    ];
+    (any::<bool>(), 1u8..12, prop::collection::vec(stmt, 1..6)).prop_map(
+        |(inclusive, trip, body)| GenCounted {
+            inclusive,
+            trip,
+            body,
+        },
+    )
+}
+
+/// The kernel: per thread, `m = n + (tid & 3)` (FI site 0 targets the
+/// bound), then `for (i = 0; i < m; i = i + 1)` (loop 0) over the recipe,
+/// and one store of the LCG state after the loop.
+fn materialize_counted(g: &GenCounted) -> KernelDef {
+    let mut body = String::new();
+    let mut site = 1;
+    for s in &g.body {
+        match *s {
+            CountedStmt::Lcg(k) => {
+                body += &format!(
+                    "x = x * 1103515245 + {}; @fi_point(site={site}, hw=ALU, target=x);\n",
+                    12345 + k as i32
+                );
+                site += 1;
+            }
+            CountedStmt::Branch(a, b) => {
+                body += &format!(
+                    "if (((x >> 16) & 3) == {}) {{ y = y + i; }} else {{ y = y ^ (x >> {}); }}\n",
+                    a % 4,
+                    b % 8
+                );
+            }
+            CountedStmt::Skip(k) => {
+                body += &format!("if ((x & {}) == 0) {{ continue; }}\n", (k % 7) + 1);
+            }
+            CountedStmt::Inner(k) => {
+                body += &format!(
+                    "for (j = 0; j < (i & 3) + {}; j = j + 1) {{ y = y + j; @fi_point(site={site}, hw=ALU, target=y); }}\n",
+                    k % 3
+                );
+                site += 1;
+            }
+        }
+    }
+    let cmp = if g.inclusive { "<=" } else { "<" };
+    let src = format!(
+        "kernel counted(out: *global i32, n: i32) {{
+            let tid: i32 = block_idx_x() * block_dim_x() + thread_idx_x();
+            let x: i32 = tid * 7 + 1;
+            let y: i32 = 0;
+            let j: i32 = 0;
+            let m: i32 = n + (tid & 3);
+            @fi_point(site=0, hw=ALU, target=m);
+            for (i = 0; i {cmp} m; i = i + 1) {{
+                {body}
+            }}
+            store(out, tid, x + y);
+        }}"
+    );
+    let k = hauberk_kir::parser::parse_kernel(&src).expect("generated counted kernel parses");
+    validate_kernel(&k).unwrap();
+    k
+}
+
+/// Forwards every callback to the inner runtime but keeps the trait's
+/// defaults for the interest filter (every hook and loop observed) and for
+/// `inert_within` (nothing is ever inert), so no hang is certified.
+struct Uncertified<R>(R);
+
+impl<R: HookRuntime> HookRuntime for Uncertified<R> {
+    fn on_hook(&mut self, hook: &Hook, ctx: &mut HookCtx) {
+        self.0.on_hook(hook, ctx);
+    }
+
+    fn on_loop_check(&mut self, loop_id: LoopId, ctx: &mut LoopCheckCtx) {
+        self.0.on_loop_check(loop_id, ctx);
+    }
+
+    fn register_corruption(
+        &mut self,
+        hook: &Hook,
+        first_thread: u32,
+        active: u32,
+    ) -> Option<RegCorruption> {
+        self.0.register_corruption(hook, first_thread, active)
+    }
+}
+
+/// Launch a counted kernel (2 blocks × 32 threads) with `budget`: outcome
+/// and output words.
+fn run_counted(
+    k: &KernelDef,
+    trip: u8,
+    engine: ExecEngine,
+    budget: u64,
+    rt: &mut dyn HookRuntime,
+) -> (LaunchOutcome, Vec<i32>) {
+    let mut config = DeviceConfig::small_gpu();
+    config.engine = engine;
+    let mut dev = Device::new(config);
+    let out = dev.alloc(PrimTy::I32, 64);
+    let launch = Launch::grid1d(2, 32).with_budget(budget);
+    let outcome = dev.launch(k, &[Value::Ptr(out), Value::I32(trip as i32)], &launch, rt);
+    (outcome, dev.mem.copy_out_i32(out, 64))
+}
+
+/// A fault on the iterator (of the outer loop or, when there is one, the
+/// first nested loop), on the bound (FI site 0) or on the outer loop's
+/// decision.
+fn counted_fault(g: &GenCounted, kind: u8, thread: u8, occ: u8, mask: u32) -> ArmedFault {
+    let inner = g.body.iter().any(|s| matches!(s, CountedStmt::Inner(_)));
+    let site = match kind % 4 {
+        0 => FaultSite::LoopIterator { loop_id: 0 },
+        1 => FaultSite::HookTarget { site: 0 },
+        2 if inner => FaultSite::LoopIterator { loop_id: 1 },
+        _ => FaultSite::LoopDecision { loop_id: 0 },
+    };
+    // Half the faults flip the sign bit: the iterator or bound then leaves
+    // ~2³¹ iterations to go.
+    let mask = if kind & 4 == 0 { 1 << 31 } else { mask | 1 };
+    ArmedFault {
+        site,
+        thread: thread as u32 % 64,
+        occurrence: 1 + u64::from(occ % 8),
+        mask,
+    }
+}
+
+/// Certified and run-out verdicts of one case, checked on every engine:
+/// both end in the same outcome kind with equal `work_cycles`,
+/// `loop_cycles` and output (an uncertified run is identical outright), and
+/// the engines agree with each other. Returns whether it certified.
+fn check_certified_against_run_out(g: &GenCounted, fault: ArmedFault, budget: u64) -> bool {
+    let k = materialize_counted(g);
+    let kind = |o: &LaunchOutcome| std::mem::discriminant(o);
+    let mut reference: Option<(LaunchOutcome, Vec<i32>)> = None;
+    for engine in ExecEngine::ALL {
+        let label = format!(
+            "{engine} fault={fault:?} budget={budget}\n{}",
+            print_kernel(&k)
+        );
+        let (cert, cert_out) =
+            run_counted(&k, g.trip, engine, budget, &mut FiRuntime::new(Some(fault)));
+        let (full, full_out) = run_counted(
+            &k,
+            g.trip,
+            engine,
+            budget,
+            &mut Uncertified(FiRuntime::new(Some(fault))),
+        );
+        assert!(
+            !matches!(
+                full,
+                LaunchOutcome::Hang {
+                    certified: true,
+                    ..
+                }
+            ),
+            "{label}"
+        );
+        assert_eq!(kind(&cert), kind(&full), "{label}\n{cert:?}\n{full:?}");
+        let (c, f) = (cert.stats(), full.stats());
+        assert_eq!(
+            (c.work_cycles, c.loop_cycles),
+            (f.work_cycles, f.loop_cycles),
+            "{label}"
+        );
+        assert_eq!(cert_out, full_out, "{label}");
+        if !matches!(
+            cert,
+            LaunchOutcome::Hang {
+                certified: true,
+                ..
+            }
+        ) {
+            assert_eq!(cert, full, "{label}");
+        }
+        match &reference {
+            None => reference = Some((cert, cert_out)),
+            Some((o, out)) => {
+                assert_eq!((o, out), (&cert, &cert_out), "{label}: engines differ")
+            }
+        }
+    }
+    matches!(
+        reference,
+        Some((
+            LaunchOutcome::Hang {
+                certified: true,
+                ..
+            },
+            _
+        ))
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A certified hang and the same run without certificates agree on
+    /// every engine, and the engines agree with each other, for counted
+    /// loops (nested, divergent, with `continue` and FI points) under
+    /// iterator, bound and decision faults and small budgets.
+    #[test]
+    fn certified_hangs_match_run_out_hangs(
+        g in gen_counted(),
+        kind in any::<u8>(),
+        thread in any::<u8>(),
+        occ in any::<u8>(),
+        mask in any::<u32>(),
+        budget in 2_000u64..60_000,
+    ) {
+        let fault = counted_fault(&g, kind, thread, occ, mask);
+        check_certified_against_run_out(&g, fault, budget);
+    }
+}
+
+/// The sign flip of the outer iterator on a thread of the second block is
+/// certified on every engine (so the property above does exercise
+/// certificates), with the run-out hang's cycles.
+#[test]
+fn sign_flipped_iterator_is_certified_on_every_engine() {
+    let g = GenCounted {
+        inclusive: false,
+        trip: 6,
+        body: vec![
+            CountedStmt::Lcg(3),
+            CountedStmt::Branch(1, 5),
+            CountedStmt::Skip(2),
+            CountedStmt::Inner(1),
+        ],
+    };
+    let fault = ArmedFault {
+        site: FaultSite::LoopIterator { loop_id: 0 },
+        thread: 40,
+        occurrence: 3,
+        mask: 1 << 31,
+    };
+    assert!(check_certified_against_run_out(&g, fault, 30_000));
+}
+
+// ---------------------------------------------------------------------------
 // Deterministic divergence-heavy case
 // ---------------------------------------------------------------------------
 
@@ -935,7 +1219,7 @@ fn suite_profiles_agree_on_every_engine() {
         .unwrap();
         let n_det = profiler.detectors.len();
         let records = ExecEngine::ALL.map(|e| {
-            let mut pr = ProfilerRuntime::default();
+            let mut pr = ProfilerRuntime::with_site_samples();
             let tele = Telemetry::disabled();
             let run = run_program_with_engine(
                 prog.as_ref(),
